@@ -156,19 +156,15 @@ def _triple_masks(odd):
 _ENUM_CACHE: list[tuple[QuadForm, ...]] | None = None
 
 
-def enumerate_aronhold_sets(cache_path: str | Path | None = None):
+def enumerate_aronhold_sets():
     """All Aronhold sets at genus 3, each as an index-sorted 7-tuple of forms.
 
     Results are deterministic (lexicographic in packed form indices) and
-    memoized in-process; pass cache_path to also persist/reuse a JSON cache.
+    memoized in-process.
     """
     global _ENUM_CACHE
     if _ENUM_CACHE is not None:
         return list(_ENUM_CACHE)
-    if cache_path is not None and Path(cache_path).exists():
-        sets = load_aronhold_cache(cache_path)
-        _ENUM_CACHE = sets
-        return list(sets)
 
     odd = odd_forms(3)
     n = len(odd)
@@ -196,8 +192,6 @@ def enumerate_aronhold_sets(cache_path: str | Path | None = None):
 
     found.sort(key=lambda t: tuple(form_index(q) for q in t))
     _ENUM_CACHE = found
-    if cache_path is not None:
-        save_aronhold_cache(found, cache_path)
     return list(found)
 
 
@@ -265,8 +259,7 @@ def aronhold_conjugate(basis: AronholdBasis) -> AronholdBasis:
     return conj
 
 
-def basis_for_pair(q_s: QuadForm, q_t: QuadForm,
-                   cache_path: str | Path | None = None) -> AronholdBasis:
+def basis_for_pair(q_s: QuadForm, q_t: QuadForm) -> AronholdBasis:
     """Deterministically pick an Aronhold basis with total q_s whose first
     three forms sum to q_t (genus 3).
 
@@ -279,7 +272,7 @@ def basis_for_pair(q_s: QuadForm, q_t: QuadForm,
         raise ValueError("both forms must be even")
     if q_s == q_t:
         raise ValueError("forms must be distinct")
-    for candidate in enumerate_aronhold_sets(cache_path):
+    for candidate in enumerate_aronhold_sets():
         if form_sum(candidate) != q_s:
             continue
         for triple in itertools.combinations(range(7), 3):

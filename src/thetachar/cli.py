@@ -37,6 +37,7 @@ from .verify import (
     VerificationError,
     iota_value,
     jacobi_check,
+    nearest_sign,
     random_fundamental_system,
     reference_family,
     require_valid_tau,
@@ -51,10 +52,15 @@ EXIT_INPUT = 2
 EXIT_TAU = 3
 
 MAX_LISTING_GENUS = 5
+# ordered pairs of distinct even genus-3 forms, less the one given by --qs/--qt
+MAX_EXTRA_PAIRS = 36 * 35 - 1
 
 
 def _config(args) -> ThetaEvalConfig:
-    return ThetaEvalConfig(radius=args.radius, target_tail=args.tail)
+    try:
+        return ThetaEvalConfig(radius=args.radius, target_tail=args.tail)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
 
 
 def _write_report(payload, out: str | None) -> None:
@@ -73,6 +79,8 @@ def _even_form(text: str, what: str):
 
 
 def cmd_chars(args) -> int:
+    if args.genus < 1:
+        raise InputFormatError("--genus must be at least 1")
     if args.genus > MAX_LISTING_GENUS:
         raise InputFormatError(f"listing capped at genus {MAX_LISTING_GENUS}")
     ev = even_forms(args.genus)
@@ -103,6 +111,8 @@ def cmd_aronhold(args) -> int:
 
 def cmd_jacobi(args) -> int:
     cfg = _config(args)
+    if args.random < 0:
+        raise InputFormatError("--random must be non-negative")
     tau = load_tau(args.tau)
     require_valid_tau(tau, cfg)
     systems = []
@@ -136,6 +146,8 @@ def cmd_jacobi(args) -> int:
 
 def cmd_weber(args) -> int:
     cfg = _config(args)
+    if not 0 <= args.pairs <= MAX_EXTRA_PAIRS:
+        raise InputFormatError(f"--pairs must be in [0, {MAX_EXTRA_PAIRS}]")
     tau = load_tau(args.tau)
     q_s = _even_form(args.qs, "--qs")
     q_t = _even_form(args.qt, "--qt")
@@ -195,8 +207,7 @@ def cmd_iota(args) -> int:
             raise InputFormatError("--qt equals the total of the chosen basis")
         family = weber_systems(basis_for_pair(q_s, q_t), q_t)
     value = iota_value(family, tau, cfg)
-    sign = 1 if abs(value - 1) <= abs(value + 1) else -1
-    residual = abs(value - sign)
+    sign, residual = nearest_sign(value)
     print(f"{sign:+d}")
     if args.out:
         _write_report(

@@ -19,7 +19,9 @@ from .chars import (
     FundamentalSystem,
     IntCharacteristic,
     QuadForm,
+    basis_vector,
     diff_forms,
+    pairing,
 )
 
 __all__ = [
@@ -51,130 +53,91 @@ def _gram(g: int) -> np.ndarray:
     return j
 
 
-def _is_symplectic_f2(m: np.ndarray, g: int) -> bool:
-    m = m.astype(np.int64)
-    a, b = m[:g, :g], m[:g, g:]
-    c, d = m[g:, :g], m[g:, g:]
-    eye = np.eye(g, dtype=np.int64)
-    if ((a.T @ d + c.T @ b) % 2 != eye).any():
-        return False
-    ac = (a.T @ c) % 2
-    bd = (b.T @ d) % 2
-    return (ac == ac.T).all() and (bd == bd.T).all()
-
-
-def _is_symplectic_z(m: np.ndarray, g: int) -> bool:
-    a, b = m[:g, :g], m[:g, g:]
-    c, d = m[g:, :g], m[g:, g:]
-    eye = np.eye(g, dtype=object)
-    if (a.T @ d - c.T @ b != eye).any():
-        return False
-    ac = a.T @ c
-    bd = b.T @ d
-    return (ac == ac.T).all() and (bd == bd.T).all()
+def _is_symplectic(m: np.ndarray, g: int, modulus: int | None) -> bool:
+    """M^T J M == J, exactly over Z or modulo `modulus`."""
+    m = m.astype(object if modulus is None else np.int64)
+    defect = m.T @ np.concatenate([m[g:], -m[:g]]) - _gram(g)
+    if modulus is not None:
+        defect %= modulus
+    return not defect.any()
 
 
 @dataclass(frozen=True)
-class SymplecticMapF2:
+class _SymplecticMap:
+    """Validated read-only 2g x 2g symplectic matrix.  A subclass fixes the
+    ring: `_entries` coerces the entries, `_modulus` is 2 over F2 and None
+    over Z, and `_ring` names the ring in errors."""
+
+    g: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = self._entries(self.matrix)
+        if m.shape != (2 * self.g, 2 * self.g):
+            raise ValueError(f"matrix must be {2 * self.g} x {2 * self.g}")
+        if not _is_symplectic(m, self.g, self._modulus):
+            raise NotSymplecticError(f"matrix is not symplectic over {self._ring}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def identity(cls, g: int):
+        return cls(g, np.eye(2 * g, dtype=np.int64))
+
+    @classmethod
+    def transvection(cls, v: F2Vector):
+        """Transvection x -> x + <x,v> v; over Z the integer one for a 0/1
+        direction vector."""
+        g = v.g
+        col = np.array([*v.lam, *v.mu], dtype=object).reshape(-1, 1)
+        return cls(g, np.eye(2 * g, dtype=object) - col @ col.T @ _gram(g))
+
+    def blocks(self):
+        g = self.g
+        m = self.matrix
+        return m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
+
+    def compose(self, other):
+        if self.g != other.g:
+            raise ValueError("genus mismatch")
+        return type(self)(self.g, self.matrix @ other.matrix)
+
+    def __matmul__(self, other):
+        return self.compose(other)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.g == other.g
+            and (self.matrix == other.matrix).all()
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SymplecticMapF2(_SymplecticMap):
     """Element of Sp(2g, F2) stored as a 2g x 2g bit matrix."""
 
-    g: int
-    matrix: np.ndarray
+    _ring = "F2"
+    _modulus = 2
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.uint8) % 2
-        if m.shape != (2 * self.g, 2 * self.g):
-            raise ValueError(f"matrix must be {2 * self.g} x {2 * self.g}")
-        if not _is_symplectic_f2(m, self.g):
-            raise NotSymplecticError("matrix is not symplectic over F2")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticMapF2":
-        return cls(g, np.eye(2 * g, dtype=np.uint8))
-
-    @classmethod
-    def transvection(cls, v: F2Vector) -> "SymplecticMapF2":
-        """Transvection x -> x + <x,v> v."""
-        return cls(v.g, _transvection_matrix_z(v) % 2)
-
-    def blocks(self):
-        g = self.g
-        m = self.matrix
-        return m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
-
-    def compose(self, other: "SymplecticMapF2") -> "SymplecticMapF2":
-        if self.g != other.g:
-            raise ValueError("genus mismatch")
-        return SymplecticMapF2(self.g, (self.matrix @ other.matrix) % 2)
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymplecticMapF2)
-            and self.g == other.g
-            and (self.matrix == other.matrix).all()
-        )
+    @staticmethod
+    def _entries(matrix) -> np.ndarray:
+        return (np.asarray(matrix) % 2).astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class SymplecticMapZ:
+@dataclass(frozen=True, eq=False)
+class SymplecticMapZ(_SymplecticMap):
     """Element of Sp(2g, Z); entries are exact Python ints."""
 
-    g: int
-    matrix: np.ndarray
+    _ring = "Z"
+    _modulus = None
 
-    def __post_init__(self):
-        m = np.array(
-            [[int(x) for x in row] for row in np.asarray(self.matrix)], dtype=object
-        )
-        if m.shape != (2 * self.g, 2 * self.g):
-            raise ValueError(f"matrix must be {2 * self.g} x {2 * self.g}")
-        if not _is_symplectic_z(m, self.g):
-            raise NotSymplecticError("matrix is not symplectic over Z")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticMapZ":
-        return cls(g, np.eye(2 * g, dtype=object))
-
-    @classmethod
-    def transvection(cls, v: F2Vector) -> "SymplecticMapZ":
-        """Integer symplectic transvection for a 0/1 direction vector."""
-        return cls(v.g, _transvection_matrix_z(v))
-
-    def blocks(self):
-        g = self.g
-        m = self.matrix
-        return m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
-
-    def compose(self, other: "SymplecticMapZ") -> "SymplecticMapZ":
-        if self.g != other.g:
-            raise ValueError("genus mismatch")
-        return SymplecticMapZ(self.g, self.matrix @ other.matrix)
-
-    def __matmul__(self, other):
-        return self.compose(other)
+    @staticmethod
+    def _entries(matrix) -> np.ndarray:
+        return np.array([[int(x) for x in row] for row in np.asarray(matrix)], dtype=object)
 
     def reduce(self) -> SymplecticMapF2:
-        return SymplecticMapF2(self.g, (self.matrix % 2).astype(np.uint8))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymplecticMapZ)
-            and self.g == other.g
-            and (self.matrix == other.matrix).all()
-        )
-
-
-def _transvection_matrix_z(v: F2Vector) -> np.ndarray:
-    g = v.g
-    col = np.array([*v.lam, *v.mu], dtype=object).reshape(-1, 1)
-    return np.eye(2 * g, dtype=object) - col @ col.T @ _gram(g)
+        return SymplecticMapF2(self.g, self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -191,35 +154,36 @@ def act_f2_vec(sigma: SymplecticMapF2, v: F2Vector) -> F2Vector:
     return F2Vector(g, tuple(int(x) for x in out[:g]), tuple(int(x) for x in out[g:]))
 
 
-def act_f2(sigma: SymplecticMapF2, q: QuadForm) -> QuadForm:
-    """Pullback action on forms: (sigma . q)(sigma v) = q(v).
-
-    In coordinates the characteristic maps through the reversed block matrix
-    [[d, c], [b, a]] plus the diagonal shift (diag(c d^T), diag(a b^T)).
-    """
+def _act(sigma, q) -> tuple[list[int], list[int]]:
+    # integer action [[d, -c], [-b, a]] plus the diagonal shift
+    # (diag(c d^T), diag(a b^T)); over F2 the signs drop out
     if sigma.g != q.g:
         raise ValueError("genus mismatch")
-    a, b, c, d = (blk.astype(np.int64) for blk in sigma.blocks())
-    eps = np.array(q.eps, dtype=np.int64)
-    eps_p = np.array(q.eps_prime, dtype=np.int64)
-    top = (d @ eps + c @ eps_p + np.diag(c @ d.T)) % 2
-    bot = (b @ eps + a @ eps_p + np.diag(a @ b.T)) % 2
-    return QuadForm(q.g, tuple(int(x) for x in top), tuple(int(x) for x in bot))
-
-
-def act_z(sigma: SymplecticMapZ, q: IntCharacteristic) -> IntCharacteristic:
-    """Integer action [[d, -c], [-b, a]] plus the diagonal shift.
-
-    Reduces mod 2 to the F2 action on the underlying quadratic forms.
-    """
-    if sigma.g != q.g:
-        raise ValueError("genus mismatch")
-    a, b, c, d = sigma.blocks()
+    a, b, c, d = (blk.astype(object) for blk in sigma.blocks())
     eps = np.array(q.eps, dtype=object)
     eps_p = np.array(q.eps_prime, dtype=object)
     top = d @ eps - c @ eps_p + np.diag(c @ d.T)
     bot = -b @ eps + a @ eps_p + np.diag(a @ b.T)
-    return IntCharacteristic(q.g, tuple(int(x) for x in top), tuple(int(x) for x in bot))
+    return [int(x) for x in top], [int(x) for x in bot]
+
+
+def act_f2(sigma: SymplecticMapF2, q: QuadForm) -> QuadForm:
+    """Pullback action on forms: (sigma . q)(sigma v) = q(v).
+
+    The mod-2 reduction of the integer action `act_z`.
+    """
+    top, bot = _act(sigma, q)
+    return QuadForm(q.g, tuple(x % 2 for x in top), tuple(x % 2 for x in bot))
+
+
+def act_z(sigma: SymplecticMapZ, q: IntCharacteristic) -> IntCharacteristic:
+    """Integer action [[d, -c], [-b, a]] plus the diagonal shift
+    (diag(c d^T), diag(a b^T)).
+
+    Reduces mod 2 to the F2 action on the underlying quadratic forms.
+    """
+    top, bot = _act(sigma, q)
+    return IntCharacteristic(q.g, tuple(top), tuple(bot))
 
 
 def phi_transform(q: IntCharacteristic, sigma: SymplecticMapZ) -> Fraction:
@@ -249,25 +213,22 @@ def phi_transform(q: IntCharacteristic, sigma: SymplecticMapZ) -> Fraction:
 def _gf2_inv(m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     work = np.concatenate([m.astype(np.uint8) % 2, np.eye(n, dtype=np.uint8)], axis=1)
-    row = 0
     for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if work[r, col]:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if work[r, col]), None)
         if piv is None:
             raise np.linalg.LinAlgError("matrix is singular over F2")
-        work[[row, piv]] = work[[piv, row]]
+        work[[col, piv]] = work[[piv, col]]
         for r in range(n):
-            if r != row and work[r, col]:
-                work[r] ^= work[row]
-        row += 1
+            if r != col and work[r, col]:
+                work[r] ^= work[col]
     return work[:, n:]
 
 
-def _stack(v: F2Vector) -> np.ndarray:
-    return np.array([*v.lam, *v.mu], dtype=np.uint8)
+def _difference_columns(system: FundamentalSystem) -> np.ndarray:
+    # the first 2g forms minus the last, as columns (lam; mu) of a bit matrix
+    last = system.forms[-1]
+    vecs = [diff_forms(q, last) for q in system.forms[: 2 * system.g]]
+    return np.array([[*v.lam, *v.mu] for v in vecs], dtype=np.uint8).T
 
 
 def find_sigma(source: FundamentalSystem, target: FundamentalSystem) -> SymplecticMapF2:
@@ -282,12 +243,7 @@ def find_sigma(source: FundamentalSystem, target: FundamentalSystem) -> Symplect
     if source.g != target.g:
         raise ValueError("genus mismatch")
     g = source.g
-    u = np.stack(
-        [_stack(diff_forms(q, source.forms[-1])) for q in source.forms[: 2 * g]], axis=1
-    )
-    w = np.stack(
-        [_stack(diff_forms(q, target.forms[-1])) for q in target.forms[: 2 * g]], axis=1
-    )
+    u, w = _difference_columns(source), _difference_columns(target)
     jf2 = np.abs(_gram(g)).astype(np.uint8)
     gram_u = (u.T @ jf2 @ u) % 2
     gram_w = (w.T @ jf2 @ w) % 2
@@ -310,68 +266,44 @@ def _all_vectors(g: int):
             yield F2Vector(g, bits[:g], bits[g:])
 
 
-def _pair_bits(x: np.ndarray, y: np.ndarray, g: int) -> int:
-    return (int(x[:g] @ y[g:]) + int(x[g:] @ y[:g])) & 1
-
-
-def _find_bridge(g: int, conditions) -> F2Vector:
-    # smallest vector z with <z, vec> = parity for every (vec, parity) given
-    for z in _all_vectors(g):
-        zs = _stack(z)
-        if all(_pair_bits(zs, vec, g) == par for vec, par in conditions):
-            return z
-    raise RuntimeError("no bridge vector found; decomposition failed")
-
-
-def _steps_to(g: int, x: np.ndarray, t: np.ndarray, extra) -> list[F2Vector]:
-    """Transvection directions mapping column x to column t while pairing
-    trivially with everything in `extra` (pairs of (vector, parity))."""
-    if (x == t).all():
+def _steps_to(x: F2Vector, t: F2Vector, extra) -> list[F2Vector]:
+    """Transvection directions mapping x to t while pairing trivially with
+    everything in `extra` (pairs of (vector, parity))."""
+    if x == t:
         return []
-    if _pair_bits(x, t, g) == 1:
-        v = (x ^ t).astype(np.uint8)
-        return [F2Vector(g, tuple(v[:g]), tuple(v[g:]))]
-    conditions = [(x, 1), (t, 1)] + list(extra)
-    z = _stack(_find_bridge(g, conditions))
-    v1 = (x ^ z).astype(np.uint8)
-    v2 = (z ^ t).astype(np.uint8)
-    return [
-        F2Vector(g, tuple(v1[:g]), tuple(v1[g:])),
-        F2Vector(g, tuple(v2[:g]), tuple(v2[g:])),
-    ]
+    if pairing(x, t) == 1:
+        return [x + t]
+    # smallest bridge z with <z, x> = <z, t> = 1 and the parities of `extra`
+    conditions = [(x, 1), (t, 1), *extra]
+    for z in _all_vectors(x.g):
+        if all(pairing(z, vec) == par for vec, par in conditions):
+            return [x + z, z + t]
+    raise RuntimeError("no bridge vector found; decomposition failed")
 
 
 def transvection_factors(sigma: SymplecticMapF2) -> list[F2Vector]:
     """Direction vectors v_1..v_k with sigma = T(v_1) ... T(v_k) over F2."""
     g = sigma.g
-    work = sigma.matrix.copy()
+    e = [basis_vector(g, i, "e") for i in range(g)]
+    f = [basis_vector(g, i, "f") for i in range(g)]
+    # columns of the working matrix, reduced to the identity from the left
+    work = [F2Vector(g, col[:g], col[g:]) for col in sigma.matrix.T]
     recorded: list[F2Vector] = []
 
     def apply(v: F2Vector) -> None:
-        nonlocal work
-        t = _transvection_matrix_z(v) % 2
-        work = (t.astype(np.uint8) @ work) % 2
+        work[:] = [x + v if pairing(x, v) else x for x in work]
         recorded.append(v)
 
     for i in range(g):
-        e_i = np.zeros(2 * g, dtype=np.uint8)
-        e_i[i] = 1
-        f_i = np.zeros(2 * g, dtype=np.uint8)
-        f_i[g + i] = 1
-        fixed = []
-        for j in range(i):
-            for pos in (j, g + j):
-                unit = np.zeros(2 * g, dtype=np.uint8)
-                unit[pos] = 1
-                fixed.append((unit, 0))
-        for v in _steps_to(g, work[:, i].copy(), e_i, fixed):
+        fixed = [(u, 0) for j in range(i) for u in (e[j], f[j])]
+        for v in _steps_to(work[i], e[i], fixed):
             apply(v)
         # bridge vectors for the f-column must also pair 1 with e_i so the
         # resulting transvection directions pair 0 with it
-        for v in _steps_to(g, work[:, g + i].copy(), f_i, fixed + [(e_i, 1)]):
+        for v in _steps_to(work[g + i], f[i], fixed + [(e[i], 1)]):
             apply(v)
 
-    if (work != np.eye(2 * g, dtype=np.uint8)).any():
+    if work != e + f:
         raise RuntimeError("transvection decomposition did not reach identity")
     # T(v)^2 = id over F2, so sigma is the recorded product in the same order
     return recorded
@@ -405,17 +337,18 @@ def _random_direction(g: int, rng) -> F2Vector:
                             tuple(int(b) for b in bits[g:]))
 
 
+def _random_product(cls, g: int, rng, n_factors: int):
+    out = cls.identity(g)
+    for _ in range(n_factors):
+        out = out @ cls.transvection(_random_direction(g, rng))
+    return out
+
+
 def random_symplectic_f2(g: int, rng, n_factors: int = 20) -> SymplecticMapF2:
     """Product of random transvections over F2."""
-    out = SymplecticMapF2.identity(g)
-    for _ in range(n_factors):
-        out = out @ SymplecticMapF2.transvection(_random_direction(g, rng))
-    return out
+    return _random_product(SymplecticMapF2, g, rng, n_factors)
 
 
 def random_symplectic_z(g: int, rng, n_factors: int = 12) -> SymplecticMapZ:
     """Product of random integer transvections (exact arithmetic)."""
-    out = SymplecticMapZ.identity(g)
-    for _ in range(n_factors):
-        out = out @ SymplecticMapZ.transvection(_random_direction(g, rng))
-    return out
+    return _random_product(SymplecticMapZ, g, rng, n_factors)

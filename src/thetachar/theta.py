@@ -111,7 +111,7 @@ def _resolve_radius(tau: RiemannMatrix, cfg: ThetaEvalConfig, z: np.ndarray) -> 
             )
             if cfg.strict_radius:
                 raise ValueError(msg)
-            warnings.warn(msg, stacklevel=3)
+            warnings.warn(msg, stacklevel=4)
         return radius
     radius = auto_radius(tau.y_min, tau.g, cfg.target_tail)
     im_z = np.asarray(z).imag
@@ -122,23 +122,27 @@ def _resolve_radius(tau: RiemannMatrix, cfg: ThetaEvalConfig, z: np.ndarray) -> 
     return radius
 
 
-def _check_char(char: IntCharacteristic, tau: RiemannMatrix) -> None:
+def _terms(char: IntCharacteristic, z, tau: RiemannMatrix,
+           cfg: ThetaEvalConfig) -> tuple[np.ndarray, np.ndarray]:
+    # shifted lattice c = n + eps/2 over the resolved cube, and the series
+    # terms e(1/2 c tau c^T + c (z + eps'/2)^T) at z
     if char.g != tau.g:
         raise ValueError("characteristic and matrix genus differ")
-
-
-def theta(char: IntCharacteristic, z, tau: RiemannMatrix,
-          cfg: ThetaEvalConfig = DEFAULT_CONFIG) -> complex:
-    """Theta series sum_n e(1/2 (n+eps/2) tau (n+eps/2)^T + (n+eps/2)(z+eps'/2)^T)
-    with e(x) = exp(2 pi i x), truncated to the cube of the resolved radius."""
-    _check_char(char, tau)
     g = tau.g
     z = np.asarray(z, dtype=complex).reshape(g)
     radius = _resolve_radius(tau, cfg, z)
     c = _lattice(g, radius) + np.array(char.eps, dtype=float) / 2.0
     quad = np.einsum("ij,jk,ik->i", c, tau.entries, c)
     lin = c @ (z + np.array(char.eps_prime, dtype=float) / 2.0)
-    return complex(np.exp(1j * np.pi * quad + 2j * np.pi * lin).sum())
+    return c, np.exp(1j * np.pi * quad + 2j * np.pi * lin)
+
+
+def theta(char: IntCharacteristic, z, tau: RiemannMatrix,
+          cfg: ThetaEvalConfig = DEFAULT_CONFIG) -> complex:
+    """Theta series sum_n e(1/2 (n+eps/2) tau (n+eps/2)^T + (n+eps/2)(z+eps'/2)^T)
+    with e(x) = exp(2 pi i x), truncated to the cube of the resolved radius."""
+    _, terms = _terms(char, z, tau, cfg)
+    return complex(terms.sum())
 
 
 def theta_null(char: IntCharacteristic, tau: RiemannMatrix,
@@ -152,13 +156,7 @@ def theta_null(char: IntCharacteristic, tau: RiemannMatrix,
 def theta_grad(char: IntCharacteristic, tau: RiemannMatrix,
                cfg: ThetaEvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Gradient of the theta series in z at z = 0, by term-wise differentiation."""
-    _check_char(char, tau)
-    g = tau.g
-    radius = _resolve_radius(tau, cfg, np.zeros(g))
-    c = _lattice(g, radius) + np.array(char.eps, dtype=float) / 2.0
-    quad = np.einsum("ij,jk,ik->i", c, tau.entries, c)
-    lin = c @ (np.array(char.eps_prime, dtype=float) / 2.0)
-    terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
+    c, terms = _terms(char, np.zeros(tau.g), tau, cfg)
     return 2j * np.pi * (c * terms[:, None]).sum(axis=0)
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "BitangentFrame",
     "bitangent_frame",
     "det3",
+    "nearest_sign",
     "JacobiCheckResult",
     "jacobi_check",
     "s_value",
@@ -198,6 +199,12 @@ def det3(frame: BitangentFrame, qa: QuadForm, qb: QuadForm, qc: QuadForm) -> com
 # Riemann-Jacobi quotient.
 
 
+def nearest_sign(value: complex) -> tuple[int, float]:
+    """The nearer of +1 and -1 to value (+1 on a tie), and the distance to it."""
+    sign = 1 if abs(value - 1) <= abs(value + 1) else -1
+    return sign, abs(value - sign)
+
+
 @dataclass(frozen=True)
 class JacobiCheckResult:
     system: FundamentalSystem
@@ -223,8 +230,7 @@ def jacobi_check(system: FundamentalSystem, tau: RiemannMatrix,
                  tol: float = DEFAULT_TOLERANCE) -> JacobiCheckResult:
     """Check that the quotient lands on +1 or -1 within tol."""
     value = s_value(system, tau, cfg)
-    sign = 1 if abs(value - 1) <= abs(value + 1) else -1
-    residual = abs(value - sign)
+    sign, residual = nearest_sign(value)
     if residual > tol:
         raise VerificationError(
             f"quotient {value} is {residual:.3e} away from {sign:+d} (tol {tol:.1e})"
@@ -246,8 +252,7 @@ def iota(family: WeberFamily, tau: RiemannMatrix,
          tol: float = DEFAULT_TOLERANCE) -> int:
     """The +-1 sign carried by a family of eight fundamental systems."""
     value = iota_value(family, tau, cfg)
-    sign = 1 if abs(value - 1) <= abs(value + 1) else -1
-    residual = abs(value - sign)
+    sign, residual = nearest_sign(value)
     if residual > tol:
         raise VerificationError(
             f"family product {value} is {residual:.3e} away from {sign:+d}"

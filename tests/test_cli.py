@@ -35,6 +35,26 @@ def test_chars_genus_guard(capsys):
     assert main(["chars", "--genus", "6"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["chars", "--genus", "0"],
+    ["chars", "--genus", "-1"],
+    ["jacobi", "--radius", "0"],
+    ["jacobi", "--tail", "0"],
+    ["jacobi", "--tail", "-1"],
+    ["jacobi", "--random", "-1"],
+    ["iota", "--radius", "-2"],
+    ["weber", "--pairs", "1260"],
+    ["weber", "--pairs", "-1"],
+], ids=" ".join)
+def test_invalid_flag_values_exit_2(argv, tau_file, capsys):
+    if argv[0] != "chars":
+        argv = argv[:1] + ["--tau", tau_file] + argv[1:]
+    if argv[0] == "weber":
+        argv += ["--qs", "000/000", "--qt", "110/110"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_aronhold_writes_valid_cache(tmp_path, capsys):
     out = tmp_path / "sets.json"
     assert main(["aronhold", "--out", str(out)]) == 0

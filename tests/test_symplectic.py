@@ -46,6 +46,28 @@ def test_identity_and_rejection():
         SymplecticMapF2(3, bad)
 
 
+def _identity_with(row, col, value):
+    m = np.eye(6, dtype=np.int64)
+    m[row, col] = value
+    return m
+
+
+@pytest.mark.parametrize("cls, matrix, accepted", [
+    # a[0,0] = 3 is 1 mod 2 but breaks a^T d - c^T b = I over Z
+    (SymplecticMapF2, _identity_with(0, 0, 3), True),
+    (SymplecticMapZ, _identity_with(0, 0, 3), False),
+    # c = e_0 e_1^T makes a^T c asymmetric and keeps the other two relations
+    (SymplecticMapF2, _identity_with(3, 1, 1), False),
+    (SymplecticMapZ, _identity_with(3, 1, 1), False),
+])
+def test_symplectic_check_in_both_rings(cls, matrix, accepted):
+    if accepted:
+        assert cls(3, matrix) == cls.identity(3)
+    else:
+        with pytest.raises(NotSymplecticError):
+            cls(3, matrix)
+
+
 def test_transvections_are_symplectic_and_involutive(rng):
     for _ in range(20):
         bits = rng.integers(0, 2, 6)
