@@ -4,8 +4,10 @@ fundamental-system constructions built on top of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,10 +16,10 @@ from .chars import (
     FundamentalSystem,
     QuadForm,
     _same_genus,
-    _xor,
     add_vector,
     arf,
     diff_forms,
+    form_from_index,
     form_index,
     odd_forms,
     pairing,
@@ -55,12 +57,7 @@ def form_sum(forms) -> QuadForm:
     if len(forms) % 2 == 0:
         raise ValueError("sum of an even number of forms is a vector, not a form")
     g = _same_genus(*forms)
-    eps = (0,) * g
-    eps_prime = (0,) * g
-    for q in forms:
-        eps = _xor(eps, q.eps)
-        eps_prime = _xor(eps_prime, q.eps_prime)
-    return QuadForm(g, eps, eps_prime)
+    return form_from_index(g, functools.reduce(operator.xor, map(form_index, forms)))
 
 
 def vector_sum(forms) -> F2Vector:
@@ -68,13 +65,7 @@ def vector_sum(forms) -> F2Vector:
     forms = list(forms)
     if len(forms) % 2 != 0:
         raise ValueError("sum of an odd number of forms is a form, not a vector")
-    g = _same_genus(*forms)
-    lam = (0,) * g
-    mu = (0,) * g
-    for q in forms:
-        lam = _xor(lam, q.eps_prime)
-        mu = _xor(mu, q.eps)
-    return F2Vector(g, lam, mu)
+    return diff_forms(form_sum(forms[1:]), forms[0])
 
 
 def is_aronhold(forms) -> bool:
@@ -90,19 +81,15 @@ def is_aronhold(forms) -> bool:
         raise ValueError(f"an Aronhold set at genus {g} has {2 * g + 1} forms")
     if len(set(forms)) != len(forms):
         raise ValueError("Aronhold set members must be distinct")
+    words = [form_index(q) for q in forms]
     seen = set()
-    n = len(forms)
-    for r in range(1, n + 1, 2):
+    for r in range(1, len(words) + 1, 2):
         target = _arf_target(g, r)
-        for combo in itertools.combinations(range(n), r):
-            q = forms[combo[0]]
-            eps, eps_prime = q.eps, q.eps_prime
-            for k in combo[1:]:
-                eps = _xor(eps, forms[k].eps)
-                eps_prime = _xor(eps_prime, forms[k].eps_prime)
-            if (sum(e & p for e, p in zip(eps, eps_prime)) & 1) != target:
+        for combo in itertools.combinations(words, r):
+            q = form_from_index(g, functools.reduce(operator.xor, combo))
+            if arf(q) != target:
                 return False
-            seen.add((eps, eps_prime))
+            seen.add(q)
     return len(seen) == 4**g
 
 
@@ -137,23 +124,12 @@ def _triple_masks(odd):
     """For each pair (i, j) of odd-form indices, the bitmask of k making an
     azygetic triple with them."""
     n = len(odd)
-    vecs = [[diff_forms(odd[i], odd[j]) for j in range(n)] for i in range(n)]
+    vecs = [[diff_forms(p, q) for q in odd] for p in odd]
     masks = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = 0
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                if pairing(vecs[i][j], vecs[i][k]) == 1:
-                    m |= 1 << k
-            masks[i][j] = m
+    for i, j, k in itertools.permutations(range(n), 3):
+        if pairing(vecs[i][j], vecs[i][k]):
+            masks[i][j] |= 1 << k
     return masks
-
-
-_ENUM_CACHE: list[tuple[QuadForm, ...]] | None = None
 
 
 def enumerate_aronhold_sets():
@@ -162,10 +138,11 @@ def enumerate_aronhold_sets():
     Results are deterministic (lexicographic in packed form indices) and
     memoized in-process.
     """
-    global _ENUM_CACHE
-    if _ENUM_CACHE is not None:
-        return list(_ENUM_CACHE)
+    return list(_aronhold_sets())
 
+
+@functools.cache
+def _aronhold_sets() -> tuple[tuple[QuadForm, ...], ...]:
     odd = odd_forms(3)
     n = len(odd)
     masks = _triple_masks(odd)
@@ -190,9 +167,8 @@ def enumerate_aronhold_sets():
     for first in range(n):
         extend([first], full & ~((1 << (first + 1)) - 1))
 
-    found.sort(key=lambda t: tuple(form_index(q) for q in t))
-    _ENUM_CACHE = found
-    return list(found)
+    found.sort(key=lambda t: tuple(map(form_index, t)))
+    return tuple(found)
 
 
 def save_aronhold_cache(sets, path: str | Path) -> None:
@@ -263,25 +239,30 @@ def basis_for_pair(q_s: QuadForm, q_t: QuadForm) -> AronholdBasis:
     """Deterministically pick an Aronhold basis with total q_s whose first
     three forms sum to q_t (genus 3).
 
-    Such an ordering always exists: the 35 triples of a 7-form Aronhold set
-    hit the 35 even forms other than the total bijectively.
+    The pick is the first enumerated set with total q_s, reordered to put
+    its first triple (in combination order) that sums to q_t in front.
     """
-    if q_s.g != 3 or q_t.g != 3:
-        raise ValueError("genus-3 forms required")
-    if arf(q_s) != 0 or arf(q_t) != 0:
-        raise ValueError("both forms must be even")
-    if q_s == q_t:
-        raise ValueError("forms must be distinct")
-    for candidate in enumerate_aronhold_sets():
-        if form_sum(candidate) != q_s:
-            continue
+    try:
+        order = _pair_index()[(q_s, q_t)]
+    except KeyError:
+        raise ValueError("two distinct even genus-3 forms required") from None
+    return AronholdBasis(3, order)
+
+
+@functools.cache
+def _pair_index() -> dict[tuple[QuadForm, QuadForm], tuple[QuadForm, ...]]:
+    # Keys are exactly the ordered pairs of distinct even genus-3 forms: the
+    # first set with a given total fills all of its pairs, because the 35
+    # triples of an Aronhold set hit the 35 other even forms bijectively.
+    index = {}
+    for candidate in _aronhold_sets():
+        total = form_sum(candidate)
         for triple in itertools.combinations(range(7), 3):
-            if sum3(*(candidate[i] for i in triple)) == q_t:
+            key = (total, sum3(*(candidate[i] for i in triple)))
+            if key not in index:
                 rest = [i for i in range(7) if i not in triple]
-                order = tuple(candidate[i] for i in (*triple, *rest))
-                return AronholdBasis(3, order)
-        raise RuntimeError("no triple of the basis sums to the target form")
-    raise RuntimeError("no Aronhold basis found with the requested total")
+                index[key] = tuple(candidate[i] for i in (*triple, *rest))
+    return index
 
 
 def weber_base_system(basis: AronholdBasis) -> FundamentalSystem:

@@ -1,10 +1,13 @@
 """Quadratic forms on a symplectic F2-space and theta characteristics.
 
-Vectors live in a 2g-dimensional F2-space with a fixed symplectic basis
-and are stored as coordinate pairs (lam, mu).  Quadratic forms are stored
-as the bit pair [eps; eps_prime] of their values on the basis vectors.
-Sums of an odd number of forms are forms, sums of an even number are
-vectors; both reduce to componentwise XOR of the stored bits.
+Vectors live in a 2g-dimensional F2-space with a fixed symplectic basis and
+have coordinates (lam, mu).  Quadratic forms are the bit pairs [eps; eps_prime]
+of their values on the basis vectors.  Both are stored as one packed int of
+2g bits: eps in bits 0..g-1 and eps_prime in bits g..2g-1 for a form, mu in
+bits 0..g-1 and lam in bits g..2g-1 for a vector.  With this layout a sum of
+an odd number of forms is a form, a sum of an even number is a vector, and
+adding a vector to a form is a form: each is one XOR of the packed ints.
+Pairings, form values and Arf invariants are popcount parities.
 """
 
 from __future__ import annotations
@@ -48,64 +51,84 @@ class GenusMismatchError(ValueError):
     """Operands defined over symplectic spaces of different genus."""
 
 
-def _check_bits(bits, g: int, what: str) -> None:
-    if len(bits) != g:
-        raise ValueError(f"{what} must have length {g}, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"{what} entries must be bits, got {bits!r}")
+def _half(bits: int, g: int) -> tuple[int, ...]:
+    return tuple((bits >> i) & 1 for i in range(g))
 
 
-def _dot(x, y) -> int:
-    return sum(a & b for a, b in zip(x, y)) & 1
+def _parity(bits: int) -> int:
+    return bits.bit_count() & 1
 
 
-def _xor(x, y) -> tuple[int, ...]:
-    return tuple(a ^ b for a, b in zip(x, y))
-
-
-@dataclass(frozen=True)
-class F2Vector:
-    """Vector w = (lam, mu) in the genus-g symplectic F2-space."""
+@dataclass(frozen=True, init=False, repr=False, slots=True)
+class _Word:
+    """Genus g and 2g coordinates packed into the int `bits`; equality and
+    hashing go by type, genus and bits."""
 
     g: int
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
+    bits: int
 
-    def __post_init__(self):
-        if self.g < 1:
+    def __init__(self, g: int, low, high, names: tuple[str, str]):
+        # validating constructor: `low` goes to bits 0..g-1, `high` above it
+        if g < 1:
             raise ValueError("genus must be positive")
-        object.__setattr__(self, "lam", tuple(int(b) for b in self.lam))
-        object.__setattr__(self, "mu", tuple(int(b) for b in self.mu))
-        _check_bits(self.lam, self.g, "lam")
-        _check_bits(self.mu, self.g, "mu")
+        bits = 0
+        for shift, half, what in ((0, low, names[0]), (g, high, names[1])):
+            half = tuple(half)
+            if len(half) != g or any(b not in (0, 1) for b in half):
+                raise ValueError(f"{what} must be {g} bits, got {half!r}")
+            bits |= sum(int(b) << (shift + i) for i, b in enumerate(half))
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def _from_bits(cls, g: int, bits: int):
+        word = object.__new__(cls)
+        object.__setattr__(word, "g", g)
+        object.__setattr__(word, "bits", bits)
+        return word
+
+    def _swapped(self) -> int:
+        # the packed halves exchanged
+        return (self.bits >> self.g) | (self.bits & ((1 << self.g) - 1)) << self.g
+
+
+class F2Vector(_Word):
+    """Vector w = (lam, mu) in the genus-g symplectic F2-space."""
+
+    __slots__ = ()
+    lam = property(lambda self: _half(self.bits >> self.g, self.g))
+    mu = property(lambda self: _half(self.bits, self.g))
+
+    def __init__(self, g: int, lam, mu):
+        super().__init__(g, mu, lam, ("mu", "lam"))
+
+    def __repr__(self) -> str:
+        return f"F2Vector(g={self.g}, lam={self.lam}, mu={self.mu})"
 
     def is_zero(self) -> bool:
-        return not any(self.lam) and not any(self.mu)
+        return not self.bits
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
         _same_genus(self, other)
-        return F2Vector(self.g, _xor(self.lam, other.lam), _xor(self.mu, other.mu))
+        return F2Vector._from_bits(self.g, self.bits ^ other.bits)
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(_Word):
     """Quadratic form q = [eps; eps_prime], i.e. a theta characteristic mod 2.
 
     eps[i] is the value of q on the i-th e-basis vector, eps_prime[i] the
     value on the i-th f-basis vector.
     """
 
-    g: int
-    eps: tuple[int, ...]
-    eps_prime: tuple[int, ...]
+    __slots__ = ()
+    eps = property(lambda self: _half(self.bits, self.g))
+    eps_prime = property(lambda self: _half(self.bits >> self.g, self.g))
 
-    def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("genus must be positive")
-        object.__setattr__(self, "eps", tuple(int(b) for b in self.eps))
-        object.__setattr__(self, "eps_prime", tuple(int(b) for b in self.eps_prime))
-        _check_bits(self.eps, self.g, "eps")
-        _check_bits(self.eps_prime, self.g, "eps_prime")
+    def __init__(self, g: int, eps, eps_prime):
+        super().__init__(g, eps, eps_prime, ("eps", "eps_prime"))
+
+    def __repr__(self) -> str:
+        return f"QuadForm(g={self.g}, eps={self.eps}, eps_prime={self.eps_prime})"
 
 
 @dataclass(frozen=True)
@@ -161,51 +184,45 @@ def basis_vector(g: int, i: int, half: str = "e") -> F2Vector:
     """The i-th (0-based) basis vector of the e- or f-half of the basis."""
     if not 0 <= i < g:
         raise ValueError(f"index {i} out of range for genus {g}")
-    bits = tuple(1 if j == i else 0 for j in range(g))
-    if half == "e":
-        return F2Vector(g, bits, (0,) * g)
-    if half == "f":
-        return F2Vector(g, (0,) * g, bits)
-    raise ValueError("half must be 'e' or 'f'")
+    if half not in ("e", "f"):
+        raise ValueError("half must be 'e' or 'f'")
+    # e_i has lam_i = 1, f_i has mu_i = 1
+    return F2Vector._from_bits(g, 1 << (g + i if half == "e" else i))
 
 
 def pairing(u: F2Vector, v: F2Vector) -> int:
     """Symplectic pairing <u, v> = lam_u.mu_v + mu_u.lam_v over F2."""
     _same_genus(u, v)
-    return (_dot(u.lam, v.mu) + _dot(u.mu, v.lam)) & 1
+    return _parity(u.bits & v._swapped())
 
 
 def evaluate_form(q: QuadForm, w: F2Vector) -> int:
     """Value q(w) = eps.lam + eps_prime.mu + lam.mu over F2."""
     _same_genus(q, w)
-    return (_dot(q.eps, w.lam) + _dot(q.eps_prime, w.mu) + _dot(w.lam, w.mu)) & 1
+    return _parity((q.bits & w._swapped()) ^ (w.bits & w.bits >> w.g))
 
 
 def arf(q: QuadForm) -> int:
     """Arf invariant eps.eps_prime; 0 for even forms, 1 for odd."""
-    return _dot(q.eps, q.eps_prime)
+    return _parity(q.bits & (q.bits >> q.g))
 
 
 def add_vector(q: QuadForm, v: F2Vector) -> QuadForm:
     """Translate a form by a vector: [eps; eps'] + (lam, mu) = [eps+mu; eps'+lam]."""
     _same_genus(q, v)
-    return QuadForm(q.g, _xor(q.eps, v.mu), _xor(q.eps_prime, v.lam))
+    return QuadForm._from_bits(q.g, q.bits ^ v.bits)
 
 
 def diff_forms(q: QuadForm, q2: QuadForm) -> F2Vector:
     """Difference of two forms as the unique vector v with <v,.> = q + q2."""
     _same_genus(q, q2)
-    return F2Vector(q.g, _xor(q.eps_prime, q2.eps_prime), _xor(q.eps, q2.eps))
+    return F2Vector._from_bits(q.g, q.bits ^ q2.bits)
 
 
 def sum3(q1: QuadForm, q2: QuadForm, q3: QuadForm) -> QuadForm:
     """Sum of three forms, again a form: componentwise XOR of characteristics."""
     _same_genus(q1, q2, q3)
-    return QuadForm(
-        q1.g,
-        _xor(_xor(q1.eps, q2.eps), q3.eps),
-        _xor(_xor(q1.eps_prime, q2.eps_prime), q3.eps_prime),
-    )
+    return QuadForm._from_bits(q1.g, q1.bits ^ q2.bits ^ q3.bits)
 
 
 def arf_sum3(q1: QuadForm, q2: QuadForm, q3: QuadForm) -> int:
@@ -213,7 +230,6 @@ def arf_sum3(q1: QuadForm, q2: QuadForm, q3: QuadForm) -> int:
 
     Equals arf(q1) + arf(q2) + arf(q3) + <q1+q2, q1+q3>.
     """
-    _same_genus(q1, q2, q3)
     p = pairing(diff_forms(q1, q2), diff_forms(q1, q3))
     return (arf(q1) + arf(q2) + arf(q3) + p) & 1
 
@@ -224,21 +240,15 @@ def eval_at_formsum(q: QuadForm, q2: QuadForm, q3: QuadForm) -> int:
 
 
 def form_index(q: QuadForm) -> int:
-    """Pack a form into an integer 0..4^g-1 (eps bits low, eps_prime bits high)."""
-    idx = 0
-    for i, b in enumerate(q.eps):
-        idx |= b << i
-    for i, b in enumerate(q.eps_prime):
-        idx |= b << (q.g + i)
-    return idx
+    """The packed bits of a form, 0..4^g-1 (eps bits low, eps_prime bits high)."""
+    return q.bits
 
 
 def form_from_index(g: int, idx: int) -> QuadForm:
-    if not 0 <= idx < 4**g:
+    """The form whose packed bits are idx; inverse of form_index."""
+    if g < 1 or not 0 <= idx < 4**g:
         raise ValueError(f"index {idx} out of range for genus {g}")
-    eps = tuple((idx >> i) & 1 for i in range(g))
-    eps_prime = tuple((idx >> (g + i)) & 1 for i in range(g))
-    return QuadForm(g, eps, eps_prime)
+    return QuadForm._from_bits(g, idx)
 
 
 def all_forms(g: int) -> list[QuadForm]:
@@ -272,7 +282,6 @@ def is_azygetic(forms) -> bool:
     forms = list(forms)
     if len(forms) < 3:
         raise ValueError("azygetic test needs at least 3 forms")
-    _same_genus(*forms)
     vecs = [diff_forms(forms[0], f) for f in forms[1:]]
     return all(
         pairing(u, v) == 1 for u, v in itertools.combinations(vecs, 2)
@@ -283,13 +292,8 @@ def is_fundamental(forms) -> bool:
     """True iff the family is 2g+2 azygetic forms, first g odd, rest even."""
     forms = list(forms)
     g = _same_genus(*forms)
-    if len(forms) != 2 * g + 2:
-        return False
-    if any(arf(q) != 1 for q in forms[:g]):
-        return False
-    if any(arf(q) != 0 for q in forms[g:]):
-        return False
-    return is_azygetic(forms)
+    parities = [arf(q) for q in forms]
+    return parities == [1] * g + [0] * (g + 2) and is_azygetic(forms)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .formats import (
     parse_quadform,
     weber_record,
 )
-from .theta import ThetaEvalConfig
+from .theta import MAX_LATTICE_POINTS, ThetaEvalConfig, lattice_fits
 from .verify import (
     TauRejectedError,
     VerificationError,
@@ -56,11 +57,21 @@ MAX_LISTING_GENUS = 5
 MAX_EXTRA_PAIRS = 36 * 35 - 1
 
 
-def _config(args) -> ThetaEvalConfig:
+def _eval_inputs(args):
+    """Validated evaluation flags and genus-3 matrix of jacobi, weber and iota."""
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputFormatError("--tol must be finite and positive")
     try:
-        return ThetaEvalConfig(radius=args.radius, target_tail=args.tail)
+        cfg = ThetaEvalConfig(radius=args.radius, target_tail=args.tail)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
+    tau = load_tau(args.tau)
+    if tau.g != 3:
+        raise InputFormatError(f"--tau must be a genus-3 matrix, got genus {tau.g}")
+    if cfg.radius is not None and not lattice_fits(cfg.radius, tau.g):
+        raise InputFormatError(
+            f"--radius {cfg.radius} gives more than {MAX_LATTICE_POINTS} lattice points")
+    return cfg, tau
 
 
 def _write_report(payload, out: str | None) -> None:
@@ -110,10 +121,9 @@ def cmd_aronhold(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    cfg = _config(args)
+    cfg, tau = _eval_inputs(args)
     if args.random < 0:
         raise InputFormatError("--random must be non-negative")
-    tau = load_tau(args.tau)
     require_valid_tau(tau, cfg)
     systems = []
     if args.system:
@@ -145,10 +155,9 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_weber(args) -> int:
-    cfg = _config(args)
+    cfg, tau = _eval_inputs(args)
     if not 0 <= args.pairs <= MAX_EXTRA_PAIRS:
         raise InputFormatError(f"--pairs must be in [0, {MAX_EXTRA_PAIRS}]")
-    tau = load_tau(args.tau)
     q_s = _even_form(args.qs, "--qs")
     q_t = _even_form(args.qt, "--qt")
     if q_s == q_t:
@@ -187,8 +196,7 @@ def cmd_sign(args) -> int:
 
 
 def cmd_iota(args) -> int:
-    cfg = _config(args)
-    tau = load_tau(args.tau)
+    cfg, tau = _eval_inputs(args)
     require_valid_tau(tau, cfg)
     if (args.aronhold_index is None) != (args.qt is None):
         raise InputFormatError("--aronhold-index and --qt must be given together")

@@ -58,8 +58,6 @@ def parse_quadform(text: str) -> QuadForm:
         eps_prime = tuple(int(b) for b in halves[1])
     except ValueError as exc:
         raise InputFormatError(f"non-integer bit in {text!r}") from exc
-    if len(eps) != len(eps_prime):
-        raise InputFormatError(f"halves of {text!r} differ in length")
     try:
         return QuadForm(len(eps), eps, eps_prime)
     except ValueError as exc:

@@ -151,7 +151,7 @@ def act_f2_vec(sigma: SymplecticMapF2, v: F2Vector) -> F2Vector:
     g = v.g
     stacked = np.array([*v.lam, *v.mu], dtype=np.uint8)
     out = (sigma.matrix @ stacked) % 2
-    return F2Vector(g, tuple(int(x) for x in out[:g]), tuple(int(x) for x in out[g:]))
+    return F2Vector(g, out[:g], out[g:])
 
 
 def _act(sigma, q) -> tuple[list[int], list[int]]:
@@ -333,8 +333,7 @@ def _random_direction(g: int, rng) -> F2Vector:
     while True:
         bits = rng.integers(0, 2, size=2 * g)
         if bits.any():
-            return F2Vector(g, tuple(int(b) for b in bits[:g]),
-                            tuple(int(b) for b in bits[g:]))
+            return F2Vector(g, bits[:g], bits[g:])
 
 
 def _random_product(cls, g: int, rng, n_factors: int):

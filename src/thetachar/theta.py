@@ -18,9 +18,12 @@ import numpy as np
 from .chars import IntCharacteristic, arf
 
 __all__ = [
+    "TauRejectedError",
     "RiemannMatrix",
     "ThetaEvalConfig",
     "DEFAULT_CONFIG",
+    "MAX_LATTICE_POINTS",
+    "lattice_fits",
     "auto_radius",
     "theta",
     "theta_null",
@@ -29,7 +32,15 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
-_MAX_RADIUS = 200
+# Most points (2R+1)^g one series may sum, about 24 MB per lattice array; at
+# genus 3 it allows R <= 49, where the samples need R <= 10 and y_min = 0.034
+# needs R = 23.
+MAX_LATTICE_POINTS = 10**6
+
+
+class TauRejectedError(ValueError):
+    """Riemann matrix rejected: some even theta constant is numerically zero,
+    or its series needs more than MAX_LATTICE_POINTS lattice points."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +79,8 @@ class ThetaEvalConfig:
     def __post_init__(self):
         if self.radius is not None and self.radius < 1:
             raise ValueError("radius must be a positive integer")
-        if self.target_tail <= 0:
-            raise ValueError("target_tail must be positive")
+        if not (math.isfinite(self.target_tail) and self.target_tail > 0):
+            raise ValueError("target_tail must be finite and positive")
 
 
 DEFAULT_CONFIG = ThetaEvalConfig()
@@ -79,15 +90,20 @@ def _tail_bound(y_min: float, g: int, radius: int) -> float:
     return math.exp(-math.pi * y_min * (radius - 1) ** 2) * (2 * radius + 1) ** g
 
 
+def lattice_fits(radius: int, g: int) -> bool:
+    """True iff the cube [-radius, radius]^g has at most MAX_LATTICE_POINTS points."""
+    return (2 * radius + 1) ** g <= MAX_LATTICE_POINTS
+
+
 def auto_radius(y_min: float, g: int, target_tail: float) -> int:
     """Smallest radius whose Gaussian tail bound is below the target."""
     radius = 1
     while _tail_bound(y_min, g, radius) >= target_tail:
         radius += 1
-        if radius > _MAX_RADIUS:
-            raise ValueError(
-                f"no radius up to {_MAX_RADIUS} reaches tail {target_tail} "
-                f"at y_min={y_min}"
+        if not lattice_fits(radius, g):
+            raise TauRejectedError(
+                f"tail {target_tail} at y_min={y_min:.3g} needs more than "
+                f"{MAX_LATTICE_POINTS} lattice points"
             )
     return radius
 
@@ -102,23 +118,25 @@ def _lattice(g: int, radius: int) -> np.ndarray:
 
 
 def _resolve_radius(tau: RiemannMatrix, cfg: ThetaEvalConfig, z: np.ndarray) -> int:
-    if cfg.radius is not None:
+    if cfg.radius is None:
+        radius = auto_radius(tau.y_min, tau.g, cfg.target_tail)
+        im_z = np.asarray(z).imag
+        if np.any(im_z):
+            # nonzero Im z shifts the Gaussian peak by -Y^{-1} Im z
+            shift = np.linalg.solve(tau.entries.imag, im_z)
+            radius += int(np.ceil(np.abs(shift).max())) + 1
+    else:
         radius = cfg.radius
-        if _tail_bound(tau.y_min, tau.g, radius) >= cfg.target_tail:
-            msg = (
-                f"radius {radius} gives tail above target {cfg.target_tail} "
-                f"at y_min={tau.y_min:.3g}"
-            )
-            if cfg.strict_radius:
-                raise ValueError(msg)
-            warnings.warn(msg, stacklevel=4)
-        return radius
-    radius = auto_radius(tau.y_min, tau.g, cfg.target_tail)
-    im_z = np.asarray(z).imag
-    if np.any(im_z):
-        # nonzero Im z shifts the Gaussian peak by -Y^{-1} Im z
-        shift = np.linalg.solve(tau.entries.imag, im_z)
-        radius += int(np.ceil(np.abs(shift).max())) + 1
+    if not lattice_fits(radius, tau.g):
+        raise ValueError(f"radius {radius} gives more than {MAX_LATTICE_POINTS} lattice points")
+    if cfg.radius is not None and _tail_bound(tau.y_min, tau.g, radius) >= cfg.target_tail:
+        msg = (
+            f"radius {radius} gives tail above target {cfg.target_tail} "
+            f"at y_min={tau.y_min:.3g}"
+        )
+        if cfg.strict_radius:
+            raise ValueError(msg)
+        warnings.warn(msg, stacklevel=4)
     return radius
 
 

@@ -40,6 +40,7 @@ from .symplectic import (
 from .theta import (
     DEFAULT_CONFIG,
     RiemannMatrix,
+    TauRejectedError,
     ThetaEvalConfig,
     jacobian_nullwert,
     theta_grad,
@@ -73,10 +74,6 @@ __all__ = [
 
 DEFAULT_NULL_THRESHOLD = 1e-6
 DEFAULT_TOLERANCE = 1e-6
-
-
-class TauRejectedError(ValueError):
-    """Riemann matrix rejected: some even theta constant is numerically zero."""
 
 
 class VerificationError(RuntimeError):
@@ -266,8 +263,6 @@ def iota(family: WeberFamily, tau: RiemannMatrix,
 
 def weber_sign(q_s: QuadForm, q_t: QuadForm) -> int:
     """(-1)^arf(q0 + q_s + q_t) for distinct even forms; symmetric."""
-    if q_s.g != q_t.g:
-        raise ValueError("genus mismatch")
     if q_s == q_t:
         raise ValueError("forms must be distinct")
     if arf(q_s) != 0 or arf(q_t) != 0:
@@ -334,17 +329,13 @@ def weber_verify(q_s: QuadForm, q_t: QuadForm, tau: RiemannMatrix,
                  basis: AronholdBasis | None = None,
                  frame: BitangentFrame | None = None,
                  omega1: np.ndarray | None = None) -> WeberResult:
-    """Compare the fourth power of the theta-constant quotient of two even
-    forms against the signed quotient of eight bitangent determinants."""
-    if arf(q_s) != 0 or arf(q_t) != 0 or q_s.g != 3 or q_t.g != 3:
-        raise ValueError("two even genus-3 forms required")
-    if q_s == q_t:
-        raise ValueError("forms must be distinct")
+    """Compare the fourth power of the theta-constant quotient of two distinct
+    even genus-3 forms against the signed quotient of eight bitangent
+    determinants."""
     if basis is None:
         basis = basis_for_pair(q_s, q_t)
-    else:
-        if basis.total() != q_s or sum3(*basis.forms[:3]) != q_t:
-            raise ValueError("basis does not match the requested pair")
+    elif basis.total() != q_s or sum3(*basis.forms[:3]) != q_t:
+        raise ValueError("basis does not match the requested pair")
     if frame is None:
         frame = bitangent_frame(tau, omega1, cfg)
     lhs = (theta_null(lift01(q_s), tau, cfg) / theta_null(lift01(q_t), tau, cfg)) ** 4

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,17 @@ def tau2():
 @pytest.fixture(scope="session")
 def aronhold_sets():
     return enumerate_aronhold_sets()
+
+
+@pytest.fixture
+def no_lattice(monkeypatch):
+    """Make any theta series evaluation fail the test instead of allocating."""
+    def refuse(g, radius):
+        raise AssertionError(f"lattice of radius {radius} requested")
+
+    # `thetachar.theta` as an attribute is the re-exported function, so the
+    # submodule is looked up by name
+    monkeypatch.setattr(importlib.import_module("thetachar.theta"), "_lattice", refuse)
 
 
 @pytest.fixture

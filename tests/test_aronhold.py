@@ -137,6 +137,26 @@ def test_basis_for_pair_contract(aronhold_sets):
         basis_for_pair(odd_forms(3)[0], evens[0])
 
 
+def test_basis_for_pair_is_first_set_first_triple(aronhold_sets):
+    # oracle: a scan on (eps, eps') tuples for all 1260 ordered even pairs
+    def xor(forms):
+        bits = [q.eps + q.eps_prime for q in forms]
+        return tuple(sum(col) % 2 for col in zip(*bits))
+
+    first_with_total = {}
+    for s in aronhold_sets:
+        first_with_total.setdefault(xor(s), s)
+    evens = even_forms(3)
+    pairs = [(q_s, q_t) for q_s in evens for q_t in evens if q_s != q_t]
+    assert len(pairs) == 1260
+    for q_s, q_t in pairs:
+        s = first_with_total[q_s.eps + q_s.eps_prime]
+        triple = next(t for t in itertools.combinations(range(7), 3)
+                      if xor(s[i] for i in t) == q_t.eps + q_t.eps_prime)
+        order = [s[i] for i in triple] + [s[i] for i in range(7) if i not in triple]
+        assert basis_for_pair(q_s, q_t).forms == tuple(order)
+
+
 def test_weber_systems_explicit_slots(aronhold_sets):
     basis = _ordered_basis(aronhold_sets)
     q_s = basis.total()

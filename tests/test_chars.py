@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from thetachar import (
@@ -38,6 +40,58 @@ def vec(lam, mu):
 
 def qf(eps, epsp):
     return QuadForm(len(eps), tuple(map(int, eps)), tuple(map(int, epsp)))
+
+
+def _halves(g):
+    # every (first half, second half) pair of g-bit tuples
+    bits = list(itertools.product((0, 1), repeat=g))
+    return list(itertools.product(bits, bits))
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y)) % 2
+
+
+def _xor(x, y):
+    return tuple((a + b) % 2 for a, b in zip(x, y))
+
+
+def test_operations_match_coordinate_definitions():
+    # oracle: the coordinate formulas on plain tuples, over all inputs at g <= 2
+    for g in (1, 2):
+        vectors = [(lam, mu, F2Vector(g, lam, mu)) for lam, mu in _halves(g)]
+        forms = [(eps, epsp, QuadForm(g, eps, epsp)) for eps, epsp in _halves(g)]
+        for lam, mu, v in vectors:
+            for lam2, mu2, v2 in vectors:
+                assert pairing(v, v2) == (_dot(lam, mu2) + _dot(mu, lam2)) % 2
+        for eps, epsp, q in forms:
+            assert arf(q) == _dot(eps, epsp)
+            for lam, mu, v in vectors:
+                value = (_dot(eps, lam) + _dot(epsp, mu) + _dot(lam, mu)) % 2
+                assert evaluate_form(q, v) == value
+                assert add_vector(q, v) == QuadForm(g, _xor(eps, mu), _xor(epsp, lam))
+            for eps2, epsp2, q2 in forms:
+                assert diff_forms(q, q2) == F2Vector(g, _xor(epsp, epsp2), _xor(eps, eps2))
+
+
+def test_constructor_accessor_roundtrip():
+    for g in (1, 2, 3):
+        for lam, mu in _halves(g):
+            v = F2Vector(g, lam, mu)
+            assert (v.g, v.lam, v.mu) == (g, lam, mu)
+            assert repr(v) == f"F2Vector(g={g}, lam={lam}, mu={mu})"
+            same = F2Vector(g, list(lam), np.array(mu))
+            assert same == v and hash(same) == hash(v)
+        for eps, epsp in _halves(g):
+            q = QuadForm(g, eps, epsp)
+            assert (q.g, q.eps, q.eps_prime) == (g, eps, epsp)
+            assert repr(q) == f"QuadForm(g={g}, eps={eps}, eps_prime={epsp})"
+            same = QuadForm(g, np.array(eps), list(epsp))
+            assert same == q and hash(same) == hash(q)
+    # equal bits in a form and a vector do not make them equal
+    assert QuadForm(2, (1, 0), (0, 1)) != F2Vector(2, (0, 1), (1, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        zero_form(3).g = 2
 
 
 def test_pairing_symplectic_basis():
@@ -248,3 +302,7 @@ def test_bit_validation():
         QuadForm(3, (1, 0, 2), (0, 0, 0))
     with pytest.raises(ValueError):
         F2Vector(0, (), ())
+    with pytest.raises(ValueError):
+        F2Vector(2, (0, 1), (0, 2))
+    with pytest.raises(ValueError):
+        F2Vector(2, (0, 1), (0,))

@@ -23,6 +23,13 @@ def bad_tau_file(tmp_path_factory):
     return str(path)
 
 
+def _eval_argv(command, tau_path, *flags):
+    argv = [command, "--tau", tau_path, *flags]
+    if command == "weber":
+        argv += ["--qs", "000/000", "--qt", "110/110"]
+    return argv
+
+
 def test_chars_counts(capsys):
     assert main(["chars", "--genus", "2"]) == 0
     out = capsys.readouterr().out
@@ -45,12 +52,19 @@ def test_chars_genus_guard(capsys):
     ["iota", "--radius", "-2"],
     ["weber", "--pairs", "1260"],
     ["weber", "--pairs", "-1"],
+    ["jacobi", "--tol", "nan"],
+    ["weber", "--tol", "nan"],
+    ["iota", "--tol", "inf"],
+    ["jacobi", "--tol", "0"],
+    ["weber", "--tol", "-1"],
+    ["jacobi", "--tail", "nan"],
+    ["weber", "--tail", "inf"],
+    ["jacobi", "--radius", "200"],
+    ["iota", "--radius", "50"],
 ], ids=" ".join)
-def test_invalid_flag_values_exit_2(argv, tau_file, capsys):
+def test_invalid_flag_values_exit_2(argv, tau_file, no_lattice, capsys):
     if argv[0] != "chars":
-        argv = argv[:1] + ["--tau", tau_file] + argv[1:]
-    if argv[0] == "weber":
-        argv += ["--qs", "000/000", "--qt", "110/110"]
+        argv = _eval_argv(argv[0], tau_file, *argv[1:])
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -82,6 +96,23 @@ def test_jacobi_explicit_system_file(tau_file, tmp_path):
 
 def test_jacobi_rejected_tau(bad_tau_file):
     assert main(["jacobi", "--tau", bad_tau_file]) == 3
+
+
+@pytest.mark.parametrize("command", ["jacobi", "weber", "iota"])
+def test_genus_2_matrix_exits_2(command, tmp_path, no_lattice, capsys):
+    path = tmp_path / "genus2.json"
+    save_tau(RiemannMatrix(1j * np.eye(2)), path)
+    assert main(_eval_argv(command, str(path))) == 2
+    assert "genus 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["jacobi", "weber", "iota"])
+def test_matrix_past_lattice_bound_exits_3(command, tmp_path, no_lattice, capsys):
+    # y_min = 1e-5 needs a radius far past the lattice bound
+    path = tmp_path / "thin.json"
+    save_tau(RiemannMatrix(1j * np.diag([1e-5, 1.0, 1.0])), path)
+    assert main(_eval_argv(command, str(path))) == 3
+    assert capsys.readouterr().err.startswith("rejected: ")
 
 
 def test_jacobi_impossible_tolerance(tau_file):

@@ -8,6 +8,7 @@ import pytest
 from thetachar import (
     IntCharacteristic,
     RiemannMatrix,
+    TauRejectedError,
     ThetaEvalConfig,
     all_forms,
     arf,
@@ -20,6 +21,7 @@ from thetachar import (
     theta_grad,
     theta_null,
 )
+from thetachar.theta import lattice_fits
 
 
 def direct_theta_g1(eps, epsp, z, tau, radius=30):
@@ -53,8 +55,9 @@ def test_riemann_matrix_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         ThetaEvalConfig(radius=0)
-    with pytest.raises(ValueError):
-        ThetaEvalConfig(target_tail=0.0)
+    for tail in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ThetaEvalConfig(target_tail=tail)
 
 
 def test_scalar_value_against_series_oracle():
@@ -196,6 +199,20 @@ def test_auto_radius_and_doubling(tau1):
         b = theta_null(lift01(q), tau1, cfg2)
         assert abs(a - b) < 1e-14
     assert auto_radius(0.5, 3, 1e-16) >= auto_radius(2.0, 3, 1e-16)
+
+
+def test_lattice_bound_checked_before_allocation(tau1, no_lattice):
+    # (2R+1)^3 <= 10^6 holds up to R = 49
+    assert lattice_fits(49, 3) and not lattice_fits(50, 3)
+    q = lift01(even_forms(3)[0])
+    with pytest.raises(ValueError, match="lattice points"):
+        theta_null(q, tau1, ThetaEvalConfig(radius=50))
+    with pytest.raises(ValueError, match="lattice points"):
+        theta(q, [50j, 0, 0], tau1)
+    with pytest.raises(TauRejectedError):
+        auto_radius(1e-5, 3, 1e-16)
+    # y_min = 0.034, the smallest value measured so far, needs R = 23
+    assert auto_radius(0.034, 3, 1e-16) == 23
 
 
 def test_insufficient_radius_warns_or_raises(tau1):
