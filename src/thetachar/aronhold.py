@@ -37,6 +37,7 @@ __all__ = [
     "load_aronhold_cache",
     "aronhold_to_fundamental",
     "aronhold_conjugate",
+    "ordered_basis",
     "basis_for_pair",
     "weber_base_system",
     "WeberFamily",
@@ -235,34 +236,38 @@ def aronhold_conjugate(basis: AronholdBasis) -> AronholdBasis:
     return conj
 
 
-def basis_for_pair(q_s: QuadForm, q_t: QuadForm) -> AronholdBasis:
-    """Deterministically pick an Aronhold basis with total q_s whose first
-    three forms sum to q_t (genus 3).
-
-    The pick is the first enumerated set with total q_s, reordered to put
-    its first triple (in combination order) that sums to q_t in front.
-    """
-    try:
-        order = _pair_index()[(q_s, q_t)]
-    except KeyError:
-        raise ValueError("two distinct even genus-3 forms required") from None
-    return AronholdBasis(3, order)
+def ordered_basis(forms, q_t: QuadForm) -> AronholdBasis:
+    """A genus-3 Aronhold set ordered with its first triple (in combination
+    order) that sums to q_t in front.  Its 35 triples hit the 35 even forms
+    other than its total, so any other q_t raises ValueError."""
+    for triple in itertools.combinations(range(7), 3):
+        if sum3(*(forms[i] for i in triple)) == q_t:
+            rest = [i for i in range(7) if i not in triple]
+            return AronholdBasis(3, tuple(forms[i] for i in (*triple, *rest)))
+    raise ValueError("no three forms of the set sum to q_t")
 
 
 @functools.cache
-def _pair_index() -> dict[tuple[QuadForm, QuadForm], tuple[QuadForm, ...]]:
-    # Keys are exactly the ordered pairs of distinct even genus-3 forms: the
-    # first set with a given total fills all of its pairs, because the 35
-    # triples of an Aronhold set hit the 35 other even forms bijectively.
-    index = {}
+def basis_for_pair(q_s: QuadForm, q_t: QuadForm) -> AronholdBasis:
+    """Deterministically pick an Aronhold basis with total q_s whose first
+    three forms sum to q_t (genus 3); built once per pair and process.
+
+    The pick is the first enumerated set with total q_s, in `ordered_basis`
+    order for q_t.
+    """
+    first = _first_set_by_total().get(q_s)
+    if first is None or q_t == q_s:
+        raise ValueError("two distinct even genus-3 forms required")
+    return ordered_basis(first, q_t)
+
+
+@functools.cache
+def _first_set_by_total() -> dict[QuadForm, tuple[QuadForm, ...]]:
+    # every even genus-3 form is the total of some enumerated set
+    first = {}
     for candidate in _aronhold_sets():
-        total = form_sum(candidate)
-        for triple in itertools.combinations(range(7), 3):
-            key = (total, sum3(*(candidate[i] for i in triple)))
-            if key not in index:
-                rest = [i for i in range(7) if i not in triple]
-                index[key] = tuple(candidate[i] for i in (*triple, *rest))
-    return index
+        first.setdefault(form_sum(candidate), candidate)
+    return first
 
 
 def weber_base_system(basis: AronholdBasis) -> FundamentalSystem:

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .aronhold import (
-    basis_for_pair,
     enumerate_aronhold_sets,
     form_sum,
+    ordered_basis,
     save_aronhold_cache,
     weber_systems,
 )
@@ -32,8 +32,9 @@ from .formats import (
     parse_quadform,
     weber_record,
 )
-from .theta import MAX_LATTICE_POINTS, ThetaEvalConfig, lattice_fits
+from .theta import DEFAULT_CONFIG, MAX_LATTICE_POINTS, ThetaEvalConfig, lattice_fits
 from .verify import (
+    DEFAULT_TOLERANCE,
     TauRejectedError,
     VerificationError,
     iota_value,
@@ -162,15 +163,16 @@ def cmd_weber(args) -> int:
     q_t = _even_form(args.qt, "--qt")
     if q_s == q_t:
         raise InputFormatError("--qs and --qt must differ")
-    pairs = [(q_s, q_t)]
+    # a dict keeps the pairs in first-draw order; a repeated draw is a no-op
+    pairs = {(q_s, q_t): None}
     if args.pairs:
         rng = np.random.default_rng(args.seed)
         evens = even_forms(3)
         while len(pairs) < 1 + args.pairs:
             i, j = rng.integers(0, len(evens), 2)
-            if i != j and (evens[i], evens[j]) not in pairs:
-                pairs.append((evens[i], evens[j]))
-    frame = bitangent_frame(tau, None, cfg)
+            if i != j:
+                pairs[evens[i], evens[j]] = None
+    frame = bitangent_frame(tau, cfg=cfg)
     records = []
     failures = 0
     for qs, qt in pairs:
@@ -210,10 +212,9 @@ def cmd_iota(args) -> int:
             )
         q_t = _even_form(args.qt, "--qt")
         candidate = sets[args.aronhold_index]
-        q_s = form_sum(candidate)
-        if q_s == q_t:
+        if form_sum(candidate) == q_t:
             raise InputFormatError("--qt equals the total of the chosen basis")
-        family = weber_systems(basis_for_pair(q_s, q_t), q_t)
+        family = weber_systems(ordered_basis(candidate, q_t), q_t)
     value = iota_value(family, tau, cfg)
     sign, residual = nearest_sign(value)
     print(f"{sign:+d}")
@@ -229,9 +230,11 @@ def cmd_iota(args) -> int:
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-6, help="verification tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                   help="verification tolerance")
     p.add_argument("--radius", type=int, default=None, help="fixed lattice radius")
-    p.add_argument("--tail", type=float, default=1e-16, help="series tail target")
+    p.add_argument("--tail", type=float, default=DEFAULT_CONFIG.target_tail,
+                   help="series tail target")
     p.add_argument("--seed", type=int, default=0, help="seed for random draws")
     p.add_argument("--out", default=None, help="write the JSON report here")
 

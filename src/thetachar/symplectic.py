@@ -343,9 +343,9 @@ def _random_product(cls, g: int, rng, n_factors: int):
     return out
 
 
-def random_symplectic_f2(g: int, rng, n_factors: int = 20) -> SymplecticMapF2:
-    """Product of random transvections over F2."""
-    return _random_product(SymplecticMapF2, g, rng, n_factors)
+def random_symplectic_f2(g: int, rng) -> SymplecticMapF2:
+    """Product of 20 random transvections over F2."""
+    return _random_product(SymplecticMapF2, g, rng, 20)
 
 
 def random_symplectic_z(g: int, rng, n_factors: int = 12) -> SymplecticMapZ:

@@ -74,7 +74,6 @@ class ThetaEvalConfig:
 
     radius: int | None = None
     target_tail: float = 1e-16
-    strict_radius: bool = False
 
     def __post_init__(self):
         if self.radius is not None and self.radius < 1:
@@ -130,13 +129,11 @@ def _resolve_radius(tau: RiemannMatrix, cfg: ThetaEvalConfig, z: np.ndarray) -> 
     if not lattice_fits(radius, tau.g):
         raise ValueError(f"radius {radius} gives more than {MAX_LATTICE_POINTS} lattice points")
     if cfg.radius is not None and _tail_bound(tau.y_min, tau.g, radius) >= cfg.target_tail:
-        msg = (
+        warnings.warn(
             f"radius {radius} gives tail above target {cfg.target_tail} "
-            f"at y_min={tau.y_min:.3g}"
+            f"at y_min={tau.y_min:.3g}",
+            stacklevel=4,
         )
-        if cfg.strict_radius:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=4)
     return radius
 
 

@@ -30,7 +30,6 @@ from .chars import (
     zero_form,
 )
 from .symplectic import (
-    SymplecticMapZ,
     find_sigma,
     lift_sp,
     phi_transform,
@@ -85,13 +84,12 @@ class TauValidation:
     ok: bool
     min_even_null: float
     vanishing: QuadForm | None
-    threshold: float
 
 
-def validate_tau(tau: RiemannMatrix, cfg: ThetaEvalConfig = DEFAULT_CONFIG,
-                 threshold: float = DEFAULT_NULL_THRESHOLD) -> TauValidation:
-    """Accept a genus-3 matrix iff all 36 even theta constants stay above the
-    threshold in absolute value (rejection names the vanishing form)."""
+def validate_tau(tau: RiemannMatrix, cfg: ThetaEvalConfig = DEFAULT_CONFIG) -> TauValidation:
+    """Accept a genus-3 matrix iff all 36 even theta constants stay above
+    DEFAULT_NULL_THRESHOLD in absolute value (rejection names the vanishing
+    form)."""
     if tau.g != 3:
         raise ValueError("validation is defined for genus 3")
     worst = None
@@ -101,36 +99,33 @@ def validate_tau(tau: RiemannMatrix, cfg: ThetaEvalConfig = DEFAULT_CONFIG,
         if value < worst_abs:
             worst_abs = value
             worst = q
-    ok = worst_abs > threshold
-    return TauValidation(ok, worst_abs, None if ok else worst, threshold)
+    ok = worst_abs > DEFAULT_NULL_THRESHOLD
+    return TauValidation(ok, worst_abs, None if ok else worst)
 
 
-def require_valid_tau(tau: RiemannMatrix, cfg: ThetaEvalConfig = DEFAULT_CONFIG,
-                      threshold: float = DEFAULT_NULL_THRESHOLD) -> None:
-    check = validate_tau(tau, cfg, threshold)
+def require_valid_tau(tau: RiemannMatrix, cfg: ThetaEvalConfig = DEFAULT_CONFIG) -> None:
+    check = validate_tau(tau, cfg)
     if not check.ok:
         raise TauRejectedError(
             f"even theta constant {check.vanishing} has modulus "
-            f"{check.min_even_null:.3e} <= {threshold:.1e}"
+            f"{check.min_even_null:.3e} <= {DEFAULT_NULL_THRESHOLD:.1e}"
         )
 
 
-def random_tau(rng, scale: float = 0.1, max_tries: int = 50,
-               cfg: ThetaEvalConfig = DEFAULT_CONFIG,
-               threshold: float = DEFAULT_NULL_THRESHOLD) -> RiemannMatrix:
-    """i*I + scale * (random complex symmetric), resampled until validation
-    passes and the smallest eigenvalue of the imaginary part stays >= 0.5."""
-    for _ in range(max_tries):
+def random_tau(rng) -> RiemannMatrix:
+    """i*I + 0.1 * (random complex symmetric), resampled up to 50 times until
+    validation passes and the smallest eigenvalue of Im stays >= 0.5."""
+    for _ in range(50):
         s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         s = (s + s.T) / 2
-        m = 1j * np.eye(3) + scale * s
+        m = 1j * np.eye(3) + 0.1 * s
         m = (m + m.T) / 2
         if np.linalg.eigvalsh(m.imag).min() < 0.5:
             continue
         tau = RiemannMatrix(m)
-        if validate_tau(tau, cfg, threshold).ok:
+        if validate_tau(tau).ok:
             return tau
-    raise RuntimeError(f"no valid matrix found in {max_tries} tries")
+    raise RuntimeError("no valid matrix found in 50 tries")
 
 
 def random_fundamental_system(rng) -> FundamentalSystem:
@@ -164,10 +159,9 @@ class BitangentFrame:
 
 
 def bitangent_frame(tau: RiemannMatrix, omega1: np.ndarray | None = None,
-                    cfg: ThetaEvalConfig = DEFAULT_CONFIG,
-                    threshold: float = DEFAULT_NULL_THRESHOLD) -> BitangentFrame:
+                    cfg: ThetaEvalConfig = DEFAULT_CONFIG) -> BitangentFrame:
     """Gradient rows times omega1^-1 for all 28 odd forms at a validated tau."""
-    require_valid_tau(tau, cfg, threshold)
+    require_valid_tau(tau, cfg)
     if omega1 is None:
         omega1 = np.eye(3, dtype=complex)
     omega1 = np.asarray(omega1, dtype=complex)
@@ -270,8 +264,7 @@ def weber_sign(q_s: QuadForm, q_t: QuadForm) -> int:
     return -1 if arf(sum3(zero_form(q_s.g), q_s, q_t)) else 1
 
 
-def sign_transport(base: FundamentalSystem,
-                   sigma_z: SymplecticMapZ | None = None) -> int:
+def sign_transport(base: FundamentalSystem) -> int:
     """Sign of the eight-system family of `base`, computed exactly.
 
     Transports the reference family (whose sign is +1) onto the family of
@@ -279,8 +272,7 @@ def sign_transport(base: FundamentalSystem,
     exponents of the two last-slot characteristics.
     """
     ref = reference_fundamental_system()
-    if sigma_z is None:
-        sigma_z = lift_sp(find_sigma(ref, base))
+    sigma_z = lift_sp(find_sigma(ref, base))
     n8 = lift01(ref.forms[-1])
     n8p = lift01(sum3(ref.forms[0], ref.forms[1], ref.forms[2]))
     delta = 8 * (phi_transform(n8p, sigma_z) - phi_transform(n8, sigma_z))
@@ -327,8 +319,7 @@ def weber_verify(q_s: QuadForm, q_t: QuadForm, tau: RiemannMatrix,
                  cfg: ThetaEvalConfig = DEFAULT_CONFIG,
                  tol: float = DEFAULT_TOLERANCE,
                  basis: AronholdBasis | None = None,
-                 frame: BitangentFrame | None = None,
-                 omega1: np.ndarray | None = None) -> WeberResult:
+                 frame: BitangentFrame | None = None) -> WeberResult:
     """Compare the fourth power of the theta-constant quotient of two distinct
     even genus-3 forms against the signed quotient of eight bitangent
     determinants."""
@@ -337,7 +328,7 @@ def weber_verify(q_s: QuadForm, q_t: QuadForm, tau: RiemannMatrix,
     elif basis.total() != q_s or sum3(*basis.forms[:3]) != q_t:
         raise ValueError("basis does not match the requested pair")
     if frame is None:
-        frame = bitangent_frame(tau, omega1, cfg)
+        frame = bitangent_frame(tau, cfg=cfg)
     lhs = (theta_null(lift01(q_s), tau, cfg) / theta_null(lift01(q_t), tau, cfg)) ** 4
     sign = weber_sign(q_s, q_t)
     rhs = sign * _det_quotient(frame, basis, q_s)

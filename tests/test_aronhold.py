@@ -22,6 +22,7 @@ from thetachar import (
     vector_sum,
     weber_systems,
 )
+from thetachar import aronhold
 from thetachar.aronhold import load_aronhold_cache, save_aronhold_cache, weber_base_system
 from thetachar.chars import QuadForm
 
@@ -155,6 +156,22 @@ def test_basis_for_pair_is_first_set_first_triple(aronhold_sets):
                       if xor(s[i] for i in t) == q_t.eps + q_t.eps_prime)
         order = [s[i] for i in triple] + [s[i] for i in range(7) if i not in triple]
         assert basis_for_pair(q_s, q_t).forms == tuple(order)
+
+
+def test_basis_for_pair_validated_once(monkeypatch):
+    evens = even_forms(3)
+    first = basis_for_pair(evens[5], evens[20])
+    calls = 0
+    check = aronhold.is_aronhold
+
+    def counting(forms):
+        nonlocal calls
+        calls += 1
+        return check(forms)
+
+    monkeypatch.setattr(aronhold, "is_aronhold", counting)
+    assert basis_for_pair(evens[5], evens[20]) == first
+    assert calls == 0
 
 
 def test_weber_systems_explicit_slots(aronhold_sets):

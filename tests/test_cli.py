@@ -3,10 +3,22 @@ import json
 import numpy as np
 import pytest
 
+from thetachar import cli
 from thetachar.aronhold import load_aronhold_cache
+from thetachar.chars import QuadForm
 from thetachar.cli import main
-from thetachar.formats import format_system, sample_tau, save_tau
-from thetachar import RiemannMatrix, reference_fundamental_system
+from thetachar.formats import format_quadform, format_system, sample_tau, save_tau
+from thetachar import (
+    RiemannMatrix,
+    WeberResult,
+    enumerate_aronhold_sets,
+    even_forms,
+    family_for_pair,
+    form_sum,
+    parse_quadform,
+    reference_fundamental_system,
+    sum3,
+)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +160,46 @@ def test_weber_missing_tau_file():
                  "--qs", "[0 0 0; 0 0 0]", "--qt", "[1 1 0; 1 1 0]"]) == 2
 
 
+def _drawn_pairs(monkeypatch, tau_file, tmp_path, *flags):
+    # the pairs `weber` checks, in report order, with the checks stubbed out
+    monkeypatch.setattr(cli, "bitangent_frame", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "weber_verify", lambda qs, qt, *args, **kwargs:
+                        WeberResult(qs, qt, 1 + 0j, 1 + 0j, 1, 0.0))
+    report = tmp_path / "weber.json"
+    assert main(_eval_argv("weber", tau_file, *flags, "--out", str(report))) == 0
+    return [(rec["qS"], rec["qT"]) for rec in json.loads(report.read_text())]
+
+
+def test_weber_pair_draw(monkeypatch, tau_file, tmp_path):
+    # --pairs 24 --seed 3 gives the pairs of the list-based rejection loop
+    # the reports were first written with
+    evens = even_forms(3)
+    expected = [(parse_quadform("000/000"), parse_quadform("110/110"))]
+    rng = np.random.default_rng(3)
+    while len(expected) < 25:
+        i, j = rng.integers(0, len(evens), 2)
+        if i != j and (evens[i], evens[j]) not in expected:
+            expected.append((evens[i], evens[j]))
+    pairs = _drawn_pairs(monkeypatch, tau_file, tmp_path, "--pairs", "24", "--seed", "3")
+    assert pairs == [(format_quadform(a), format_quadform(b)) for a, b in expected]
+
+    # --pairs 1259 gives every ordered pair once, with a bounded number of
+    # form comparisons (a membership scan of the drawn list makes millions)
+    comparisons = 0
+    form_eq = QuadForm.__eq__
+
+    def counting_eq(self, other):
+        nonlocal comparisons
+        comparisons += 1
+        return form_eq(self, other)
+
+    monkeypatch.setattr(QuadForm, "__eq__", counting_eq)
+    pairs = _drawn_pairs(monkeypatch, tau_file, tmp_path, "--pairs", "1259")
+    names = [format_quadform(q) for q in evens]
+    assert sorted(pairs) == sorted((a, b) for a in names for b in names if a != b)
+    assert comparisons < len(pairs)
+
+
 def test_sign_output(capsys):
     assert main(["sign", "--qs", "000/000", "--qt", "110/110"]) == 0
     assert capsys.readouterr().out.strip() == "+1"
@@ -177,6 +229,31 @@ def test_iota_flag_pairing(tau_file):
     assert main(["iota", "--tau", tau_file, "--aronhold-index", "0"]) == 2
     assert main(["iota", "--tau", tau_file, "--aronhold-index", "400",
                  "--qt", "[1 1 0; 1 1 0]"]) == 2
+
+
+def _iota_family(monkeypatch, tau_file, index, qt):
+    families = []
+    monkeypatch.setattr(cli, "iota_value",
+                        lambda family, *args: families.append(family) or 1 + 0j)
+    assert main(["iota", "--tau", tau_file, "--aronhold-index", str(index),
+                 "--qt", qt]) == 0
+    return families[0]
+
+
+def test_iota_index_uses_its_own_set(monkeypatch, tau_file):
+    # sets 12 and 46 share a total; each index must build its own set's family
+    sets = enumerate_aronhold_sets()
+    q_t = parse_quadform("000/000")
+    assert form_sum(sets[12]) == form_sum(sets[46])
+    f = _iota_family(monkeypatch, tau_file, 46, "000/000").numerators[0].forms
+    # base system (q1, q2, q3, q567, q467, q457, q456, total) back to its set
+    basis = [*f[:3], sum3(f[4], f[5], f[6]), sum3(f[3], f[5], f[6]),
+             sum3(f[3], f[4], f[6]), sum3(f[3], f[4], f[5])]
+    assert set(basis) == set(sets[46])
+    assert sum3(*basis[:3]) == q_t
+    # set 12 is the first with its total, so its family is the pair's family
+    assert (_iota_family(monkeypatch, tau_file, 12, "000/000")
+            == family_for_pair(form_sum(sets[12]), q_t))
 
 
 def test_reports_are_deterministic(tau_file, tmp_path):

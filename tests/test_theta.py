@@ -221,8 +221,6 @@ def test_insufficient_radius_warns_or_raises(tau1):
         warnings.simplefilter("always")
         theta_null(q, tau1, ThetaEvalConfig(radius=2))
     assert any("tail" in str(w.message) for w in caught)
-    with pytest.raises(ValueError):
-        theta_null(q, tau1, ThetaEvalConfig(radius=2, strict_radius=True))
 
 
 def test_genus_mismatch(tau1):

@@ -219,7 +219,7 @@ def test_weber_verify_invariances(tau1, aronhold_sets, rng):
 
     # a different invertible frame matrix cancels
     omega1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    res = weber_verify(q_s, q_t, tau1, omega1=omega1)
+    res = weber_verify(q_s, q_t, tau1, frame=bitangent_frame(tau1, omega1))
     assert res.rhs == pytest.approx(base.rhs, rel=1e-8)
     assert res.lhs == pytest.approx(base.lhs, rel=1e-12)
 
