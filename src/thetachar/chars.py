@@ -152,11 +152,8 @@ class IntCharacteristic:
             raise ValueError("characteristic halves must have length g")
 
     def reduce(self) -> QuadForm:
-        return QuadForm(
-            self.g,
-            tuple(e & 1 for e in self.eps),
-            tuple(e & 1 for e in self.eps_prime),
-        )
+        bits = sum((e & 1) << i for i, e in enumerate(self.eps + self.eps_prime))
+        return QuadForm._from_bits(self.g, bits)
 
 
 def lift01(q: QuadForm) -> IntCharacteristic:

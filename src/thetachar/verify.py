@@ -6,7 +6,6 @@ identity with its sign.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +22,7 @@ from .chars import (
     QuadForm,
     arf,
     even_forms,
+    form_index,
     lift01,
     odd_forms,
     reference_fundamental_system,
@@ -42,8 +42,8 @@ from .theta import (
     TauRejectedError,
     ThetaEvalConfig,
     jacobian_nullwert,
-    theta_grad,
     theta_null,
+    theta_table,
 )
 
 __all__ = [
@@ -92,15 +92,11 @@ def validate_tau(tau: RiemannMatrix, cfg: ThetaEvalConfig = DEFAULT_CONFIG) -> T
     form)."""
     if tau.g != 3:
         raise ValueError("validation is defined for genus 3")
-    worst = None
-    worst_abs = math.inf
-    for q in even_forms(3):
-        value = abs(theta_null(lift01(q), tau, cfg))
-        if value < worst_abs:
-            worst_abs = value
-            worst = q
-    ok = worst_abs > DEFAULT_NULL_THRESHOLD
-    return TauValidation(ok, worst_abs, None if ok else worst)
+    evens = even_forms(3)
+    moduli = np.abs(theta_table(tau, cfg).values[[form_index(q) for q in evens]])
+    k = int(np.argmin(moduli))
+    ok = bool(moduli[k] > DEFAULT_NULL_THRESHOLD)
+    return TauValidation(ok, float(moduli[k]), None if ok else evens[k])
 
 
 def require_valid_tau(tau: RiemannMatrix, cfg: ThetaEvalConfig = DEFAULT_CONFIG) -> None:
@@ -166,13 +162,12 @@ def bitangent_frame(tau: RiemannMatrix, omega1: np.ndarray | None = None,
         omega1 = np.eye(3, dtype=complex)
     omega1 = np.asarray(omega1, dtype=complex)
     inv = np.linalg.inv(omega1)
-    beta = {}
-    for q in odd_forms(3):
-        row = theta_grad(lift01(q), tau, cfg) @ inv
+    odds = odd_forms(3)
+    rows = theta_table(tau, cfg).grads[[form_index(q) for q in odds]] @ inv
+    for q, row in zip(odds, rows):
         if np.abs(row).max() < 1e-8:
             raise TauRejectedError(f"gradient of odd form {q} is numerically zero")
-        beta[q] = row
-    return BitangentFrame(tau, omega1, beta)
+    return BitangentFrame(tau, omega1, dict(zip(odds, rows)))
 
 
 def det3(frame: BitangentFrame, qa: QuadForm, qb: QuadForm, qc: QuadForm) -> complex:

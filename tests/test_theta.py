@@ -1,5 +1,8 @@
 import cmath
+import importlib
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 from thetachar import (
     IntCharacteristic,
+    QuadForm,
     RiemannMatrix,
     TauRejectedError,
     ThetaEvalConfig,
@@ -20,8 +24,12 @@ from thetachar import (
     theta,
     theta_grad,
     theta_null,
+    theta_table,
+    validate_tau,
 )
 from thetachar.theta import lattice_fits
+
+theta_mod = importlib.import_module("thetachar.theta")
 
 
 def direct_theta_g1(eps, epsp, z, tau, radius=30):
@@ -216,13 +224,125 @@ def test_lattice_bound_checked_before_allocation(tau1, no_lattice):
 
 
 def test_insufficient_radius_warns_or_raises(tau1):
+    # one warning per table build, naming the caller outside the package
+    tau = RiemannMatrix(tau1.entries)
+    cfg = ThetaEvalConfig(radius=2)
     q = lift01(even_forms(3)[0])
+    odd3 = [lift01(p) for p in odd_forms(3)[:3]]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        theta_null(q, tau1, ThetaEvalConfig(radius=2))
-    assert any("tail" in str(w.message) for w in caught)
+        theta_null(q, tau, cfg)
+        theta_grad(odd3[0], tau, cfg)
+        jacobian_nullwert(odd3, tau, cfg)
+        validate_tau(tau, cfg)
+    assert len(caught) == 1
+    assert "tail" in str(caught[0].message)
+    assert caught[0].filename == __file__
 
 
 def test_genus_mismatch(tau1):
     with pytest.raises(ValueError):
         theta(ch((0,), (0,)), [0.0], tau1)
+
+
+def ymin_matrix(rng, level):
+    """i*I + 0.1*S (S complex symmetric, standard normal) with the smallest
+    eigenvalue of Im tau moved to `level` along its eigenvector."""
+    s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    s = (s + s.T) / 2
+    m = 1j * np.eye(3) + 0.1 * s
+    m = (m + m.T) / 2
+    w, v = np.linalg.eigh(m.imag)
+    y = m.imag + (level - w[0]) * np.outer(v[:, 0], v[:, 0])
+    return RiemannMatrix(m.real + 1j * y)
+
+
+@pytest.fixture(scope="module")
+def tau_ymin():
+    tau = ymin_matrix(np.random.default_rng(20), 0.20)
+    assert auto_radius(tau.y_min, 3, 1e-16) == 10
+    return tau
+
+
+@pytest.mark.parametrize("which", ["sample1", "sample2", "ymin0.20"])
+def test_table_matches_direct_sums(which, tau1, tau2, tau_ymin):
+    tau = {"sample1": tau1, "sample2": tau2, "ymin0.20": tau_ymin}[which]
+    table = theta_table(tau)
+    cfg = theta_mod.DEFAULT_CONFIG
+    for q in all_forms(3):
+        c, terms = theta_mod._terms(lift01(q), np.zeros(3), tau, cfg)
+        value = terms.sum()
+        grad = 2j * np.pi * (c * terms[:, None]).sum(axis=0)
+        assert abs(table.values[q.bits] - value) <= 1e-14 * max(abs(value), 1)
+        assert (np.abs(table.grads[q.bits] - grad).max()
+                <= 1e-14 * max(np.abs(grad).max(), 1))
+        if arf(q):
+            assert abs(table.values[q.bits]) < 1e-12
+        else:
+            assert np.abs(table.grads[q.bits]).max() < 1e-12
+
+
+def test_integer_characteristics_follow_sign_rule(tau1, rng):
+    # theta[eps + 2m, eps' + 2n] = (-1)^(eps.n) theta[eps, eps'], read from
+    # the table, and equal to the direct series of the shifted characteristic
+    for _ in range(20):
+        q = all_forms(3)[rng.integers(0, 64)]
+        eps, epsp = np.array(q.eps), np.array(q.eps_prime)
+        m = rng.integers(-2, 3, 3)
+        n = rng.integers(-2, 3, 3)
+        shifted = ch(tuple(eps + 2 * m), tuple(epsp + 2 * n))
+        sign = (-1) ** int(n @ eps)
+        grad = theta_grad(shifted, tau1)
+        assert np.array_equal(grad, sign * theta_grad(lift01(q), tau1))
+        if arf(q) == 0:
+            value = theta_null(shifted, tau1)
+            assert value == sign * theta_null(lift01(q), tau1)
+            assert abs(value - theta(shifted, np.zeros(3), tau1)) < 1e-13
+
+
+def test_table_matches_mpmath_series(tau1):
+    mp = pytest.importorskip("mpmath")
+    tau = [[mp.mpc(complex(x)) for x in row] for row in tau1.entries]
+    axis = range(-7, 8)
+
+    def series(q, weighted):
+        # sum over the cube of e(1/2 c tau c + c eps'/2), c = n + eps/2,
+        # times 2 pi i c when weighted (the z-gradient at z = 0)
+        total = [mp.mpc(0)] * (3 if weighted else 1)
+        shifts = [[n + mp.mpf(e) / 2 for n in axis] for e in q.eps]
+        for cv in itertools.product(*shifts):
+            quad = sum(tau[j][j] * cv[j] ** 2 for j in range(3)) + 2 * (
+                tau[0][1] * cv[0] * cv[1] + tau[0][2] * cv[0] * cv[2]
+                + tau[1][2] * cv[1] * cv[2])
+            lin = sum(c for c, e in zip(cv, q.eps_prime) if e)
+            term = mp.expjpi(quad + lin)
+            if weighted:
+                total = [t + 2j * mp.pi * c * term for t, c in zip(total, cv)]
+            else:
+                total[0] += term
+        return np.array([complex(t) for t in total])
+
+    table = theta_table(tau1)
+    # three eps classes: 000 and 110 (even constants), 001 (odd gradient)
+    with mp.workdps(30):
+        for eps, epsp in (((0, 0, 0), (0, 0, 0)), ((1, 1, 0), (0, 0, 1))):
+            q = QuadForm(3, eps, epsp)
+            exact = series(q, weighted=False)[0]
+            assert abs(table.values[q.bits] - exact) < 1e-14 * max(abs(exact), 1)
+        q = QuadForm(3, (0, 0, 1), (0, 0, 1))
+        exact = series(q, weighted=True)
+    assert np.abs(table.grads[q.bits] - exact).max() < 1e-14 * max(np.abs(exact).max(), 1)
+
+
+def test_table_build_memory_is_linear(tau_ymin):
+    # the build keeps O(N) transients: less than one N x 8 complex array
+    points = (2 * 10 + 1) ** 3
+    theta_table(tau_ymin)  # the lattice of radius 10 is cached from here on
+    tau = RiemannMatrix(tau_ymin.entries)
+    tracemalloc.start()
+    try:
+        theta_table(tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 * points

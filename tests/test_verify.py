@@ -8,6 +8,7 @@ from thetachar import (
     AronholdBasis,
     RiemannMatrix,
     TauRejectedError,
+    ThetaEvalConfig,
     VerificationError,
     arf,
     basis_for_pair,
@@ -273,3 +274,19 @@ def test_shifted_systems_share_jacobi_sign_structure(tau1):
     for i in range(3):
         res = jacobi_check(shift_system(ref, i), tau1)
         assert res.residual < 1e-6
+
+
+def test_theta_table_built_once_per_instance_and_config(tau1, request):
+    tau = RiemannMatrix(tau1.entries)
+    assert validate_tau(tau).ok
+    request.getfixturevalue("no_lattice")  # from here on a series sum fails
+    frame = bitangent_frame(tau)
+    assert jacobi_check(reference_fundamental_system(), tau).residual < 1e-6
+    assert abs(iota_value(reference_family(), tau) - 1) < 1e-6
+    evens = even_forms(3)
+    assert weber_verify(evens[3], evens[17], tau, frame=frame).relative_error < 1e-6
+    # the table belongs to the instance and the config, not to tau's value
+    with pytest.raises(AssertionError, match="lattice"):
+        validate_tau(RiemannMatrix(tau1.entries))
+    with pytest.raises(AssertionError, match="lattice"):
+        validate_tau(tau, ThetaEvalConfig(radius=8))
