@@ -3,11 +3,13 @@ integer characteristics, and the transvection-based lift from Sp(2g, F2) to
 Sp(2g, Z).
 
 Matrices act on stacked column vectors (lam; mu).  Integer matrices are kept
-as object arrays of Python ints so all arithmetic stays exact.
+as object arrays of Python ints so all arithmetic stays exact.  A product of
+transvections is multiplied as plain matrices and checked once, as one map.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,9 +21,12 @@ from .chars import (
     FundamentalSystem,
     IntCharacteristic,
     QuadForm,
+    add_vector,
     basis_vector,
     diff_forms,
+    evaluate_form,
     pairing,
+    reference_fundamental_system,
 )
 
 __all__ = [
@@ -62,19 +67,38 @@ def _is_symplectic(m: np.ndarray, g: int, modulus: int | None) -> bool:
     return not defect.any()
 
 
+def _transvection(v: F2Vector) -> np.ndarray:
+    # integer matrix of x -> x + <x,v> v for the 0/1 direction vector v
+    col = np.array([*v.lam, *v.mu], dtype=object).reshape(-1, 1)
+    return np.eye(2 * v.g, dtype=object) - col @ col.T @ _gram(v.g)
+
+
+def _product(g: int, directions) -> np.ndarray:
+    # integer matrix T(v_1) ... T(v_k), multiplied in the order given
+    return functools.reduce(np.matmul, map(_transvection, directions),
+                            np.eye(2 * g, dtype=object))
+
+
 @dataclass(frozen=True)
 class _SymplecticMap:
-    """Validated read-only 2g x 2g symplectic matrix.  A subclass fixes the
-    ring: `_entries` coerces the entries, `_modulus` is 2 over F2 and None
-    over Z, and `_ring` names the ring in errors."""
+    """Validated read-only 2g x 2g symplectic matrix of integers.  A subclass
+    fixes the ring: `_modulus` is 2 over F2 (entries stored as uint8 bits)
+    and None over Z (Python ints), and `_ring` names the ring in errors."""
 
     g: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = self._entries(self.matrix)
+        m = np.asarray(self.matrix)
         if m.shape != (2 * self.g, 2 * self.g):
             raise ValueError(f"matrix must be {2 * self.g} x {2 * self.g}")
+        try:
+            exact = np.array([[int(x) for x in row] for row in m], dtype=object)
+        except (TypeError, OverflowError):
+            exact = None
+        if exact is None or (exact != m).any():
+            raise ValueError("matrix entries must be integers")
+        m = exact if self._modulus is None else (exact % self._modulus).astype(np.uint8)
         if not _is_symplectic(m, self.g, self._modulus):
             raise NotSymplecticError(f"matrix is not symplectic over {self._ring}")
         m.setflags(write=False)
@@ -88,9 +112,7 @@ class _SymplecticMap:
     def transvection(cls, v: F2Vector):
         """Transvection x -> x + <x,v> v; over Z the integer one for a 0/1
         direction vector."""
-        g = v.g
-        col = np.array([*v.lam, *v.mu], dtype=object).reshape(-1, 1)
-        return cls(g, np.eye(2 * g, dtype=object) - col @ col.T @ _gram(g))
+        return cls(v.g, _transvection(v))
 
     def blocks(self):
         g = self.g
@@ -120,10 +142,6 @@ class SymplecticMapF2(_SymplecticMap):
     _ring = "F2"
     _modulus = 2
 
-    @staticmethod
-    def _entries(matrix) -> np.ndarray:
-        return (np.asarray(matrix) % 2).astype(np.uint8)
-
 
 @dataclass(frozen=True, eq=False)
 class SymplecticMapZ(_SymplecticMap):
@@ -131,10 +149,6 @@ class SymplecticMapZ(_SymplecticMap):
 
     _ring = "Z"
     _modulus = None
-
-    @staticmethod
-    def _entries(matrix) -> np.ndarray:
-        return np.array([[int(x) for x in row] for row in np.asarray(matrix)], dtype=object)
 
     def reduce(self) -> SymplecticMapF2:
         return SymplecticMapF2(self.g, self.matrix)
@@ -210,46 +224,29 @@ def phi_transform(q: IntCharacteristic, sigma: SymplecticMapZ) -> Fraction:
 # Constructive solve: map one fundamental system onto another.
 
 
-def _gf2_inv(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    work = np.concatenate([m.astype(np.uint8) % 2, np.eye(n, dtype=np.uint8)], axis=1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r, col]), None)
-        if piv is None:
-            raise np.linalg.LinAlgError("matrix is singular over F2")
-        work[[col, piv]] = work[[piv, col]]
-        for r in range(n):
-            if r != col and work[r, col]:
-                work[r] ^= work[col]
-    return work[:, n:]
-
-
 def _difference_columns(system: FundamentalSystem) -> np.ndarray:
     # the first 2g forms minus the last, as columns (lam; mu) of a bit matrix
     last = system.forms[-1]
     vecs = [diff_forms(q, last) for q in system.forms[: 2 * system.g]]
-    return np.array([[*v.lam, *v.mu] for v in vecs], dtype=np.uint8).T
+    return np.array([[*v.lam, *v.mu] for v in vecs], dtype=np.int64).T
 
 
 def find_sigma(source: FundamentalSystem, target: FundamentalSystem) -> SymplecticMapF2:
     """Symplectic map sending the source fundamental system onto the target,
     element by element.
 
-    Built by solving the linear system on the azygetic vector bases formed by
-    differences with the last form; equal Gram matrices make the solution
-    symplectic, and the composition law forces the last form to follow.  The
-    element-wise mapping is verified before returning.
+    The differences U (W) of the first 2g source (target) forms with the last
+    have Gram matrix U^T J U = 1 - I, as the system is azygetic, and
+    (1 - I)^2 = I mod 2, so sigma = W (1 - I) U^T J.  The composition law
+    forces the last form to follow; the mapping is verified before returning.
     """
     if source.g != target.g:
         raise ValueError("genus mismatch")
     g = source.g
     u, w = _difference_columns(source), _difference_columns(target)
-    jf2 = np.abs(_gram(g)).astype(np.uint8)
-    gram_u = (u.T @ jf2 @ u) % 2
-    gram_w = (w.T @ jf2 @ w) % 2
-    if (gram_u != gram_w).any():
-        raise RuntimeError("azygetic Gram matrices differ; systems incompatible")
-    sigma = SymplecticMapF2(g, (w @ _gf2_inv(u)) % 2)
+    # mod 2, U^T J is U with its two halves of rows swapped, transposed
+    u_inv = (1 - np.eye(2 * g, dtype=np.int64)) @ np.roll(u, g, axis=0).T
+    sigma = SymplecticMapF2(g, w @ u_inv)
     for q_src, q_tgt in zip(source.forms, target.forms):
         if act_f2(sigma, q_src) != q_tgt:
             raise RuntimeError("constructed map fails to match the systems")
@@ -260,10 +257,11 @@ def find_sigma(source: FundamentalSystem, target: FundamentalSystem) -> Symplect
 # Transvection decomposition and the lift to Sp(2g, Z).
 
 
-def _all_vectors(g: int):
-    for bits in itertools.product((0, 1), repeat=2 * g):
-        if any(bits):
-            yield F2Vector(g, bits[:g], bits[g:])
+@functools.cache
+def _all_vectors(g: int) -> tuple[F2Vector, ...]:
+    # the nonzero vectors in product order, which decides the bridge picked
+    return tuple(F2Vector(g, bits[:g], bits[g:])
+                 for bits in itertools.product((0, 1), repeat=2 * g) if any(bits))
 
 
 def _steps_to(x: F2Vector, t: F2Vector, extra) -> list[F2Vector]:
@@ -313,14 +311,11 @@ def lift_sp(sigma: SymplecticMapF2) -> SymplecticMapZ:
     """Integer symplectic lift of an F2 symplectic map.
 
     Decomposes into transvections over F2 and multiplies their integer
-    transvection matrices; both the block relations over Z and the mod-2
-    round trip are verified before returning.
+    transvection matrices as one plain product, checked once over Z and
+    compared with the input mod 2 before returning.
     """
-    factors = transvection_factors(sigma)
-    lifted = SymplecticMapZ.identity(sigma.g)
-    for v in factors:
-        lifted = lifted @ SymplecticMapZ.transvection(v)
-    if lifted.reduce() != sigma:
+    lifted = SymplecticMapZ(sigma.g, _product(sigma.g, transvection_factors(sigma)))
+    if (lifted.matrix % 2 != sigma.matrix).any():
         raise RuntimeError("integer lift does not reduce to the input map")
     return lifted
 
@@ -337,10 +332,7 @@ def _random_direction(g: int, rng) -> F2Vector:
 
 
 def _random_product(cls, g: int, rng, n_factors: int):
-    out = cls.identity(g)
-    for _ in range(n_factors):
-        out = out @ cls.transvection(_random_direction(g, rng))
-    return out
+    return cls(g, _product(g, (_random_direction(g, rng) for _ in range(n_factors))))
 
 
 def random_symplectic_f2(g: int, rng) -> SymplecticMapF2:
@@ -351,3 +343,14 @@ def random_symplectic_f2(g: int, rng) -> SymplecticMapF2:
 def random_symplectic_z(g: int, rng, n_factors: int = 12) -> SymplecticMapZ:
     """Product of random integer transvections (exact arithmetic)."""
     return _random_product(SymplecticMapZ, g, rng, n_factors)
+
+
+def random_fundamental_system(rng) -> FundamentalSystem:
+    """Image of the reference system under T(v_1) ... T(v_20), the map that
+    `random_symplectic_f2(3, rng)` draws.  T(v_20) acts first, and T(v) moves
+    a form q to q + v when q(v) = 0 and fixes it otherwise."""
+    directions = [_random_direction(3, rng) for _ in range(20)]
+    forms = reference_fundamental_system().forms
+    for v in reversed(directions):
+        forms = tuple(q if evaluate_form(q, v) else add_vector(q, v) for q in forms)
+    return FundamentalSystem(3, forms)

@@ -6,6 +6,7 @@ identity with its sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,20 +30,12 @@ from .chars import (
     sum3,
     zero_form,
 )
-from .symplectic import (
-    find_sigma,
-    lift_sp,
-    phi_transform,
-    random_symplectic_f2,
-    act_f2,
-)
+from .symplectic import find_sigma, lift_sp, phi_transform, random_fundamental_system
 from .theta import (
     DEFAULT_CONFIG,
     RiemannMatrix,
     TauRejectedError,
     ThetaEvalConfig,
-    jacobian_nullwert,
-    theta_null,
     theta_table,
 )
 
@@ -124,13 +117,6 @@ def random_tau(rng) -> RiemannMatrix:
     raise RuntimeError("no valid matrix found in 50 tries")
 
 
-def random_fundamental_system(rng) -> FundamentalSystem:
-    """Image of the reference system under a random symplectic map."""
-    sigma = random_symplectic_f2(3, rng)
-    ref = reference_fundamental_system()
-    return FundamentalSystem(3, tuple(act_f2(sigma, q) for q in ref))
-
-
 # ---------------------------------------------------------------------------
 # Bitangent coefficient frame.
 
@@ -201,13 +187,16 @@ class JacobiCheckResult:
 
 def s_value(system: FundamentalSystem, tau: RiemannMatrix,
             cfg: ThetaEvalConfig = DEFAULT_CONFIG) -> complex:
-    """Quotient of the degree-3 gradient determinant of the first three forms
-    by the product of the last five theta constants (canonical lifts)."""
-    chars = [lift01(q) for q in system.forms]
-    num = jacobian_nullwert(chars[:3], tau, cfg)
+    """Jacobian Nullwert of the first three forms over the product of the
+    theta constants of the last five, read from the theta table."""
+    if system.g != 3 or tau.g != 3:
+        raise ValueError("the quotient is defined for genus 3")
+    table = theta_table(tau, cfg)
+    index = [form_index(q) for q in system.forms]
+    num = complex(np.linalg.det(table.grads[index[:3]].T) / math.pi**3)
     den = 1.0 + 0j
-    for ch in chars[3:]:
-        den *= theta_null(ch, tau, cfg)
+    for i in index[3:]:
+        den *= complex(table.values[i])
     return num / den
 
 
@@ -324,8 +313,9 @@ def weber_verify(q_s: QuadForm, q_t: QuadForm, tau: RiemannMatrix,
         raise ValueError("basis does not match the requested pair")
     if frame is None:
         frame = bitangent_frame(tau, cfg=cfg)
-    lhs = (theta_null(lift01(q_s), tau, cfg) / theta_null(lift01(q_t), tau, cfg)) ** 4
     sign = weber_sign(q_s, q_t)
+    values = theta_table(tau, cfg).values
+    lhs = (complex(values[form_index(q_s)]) / complex(values[form_index(q_t)])) ** 4
     rhs = sign * _det_quotient(frame, basis, q_s)
     rel = abs(lhs - rhs) / abs(lhs)
     if rel > tol:

@@ -100,6 +100,28 @@ def test_jacobi_reference_passes(tau_file, tmp_path, capsys):
         assert rec["sign"] in (-1, 1)
 
 
+def test_jacobi_random_systems_pinned(tau_file, tmp_path):
+    # the reference system, then the draws of seed 5: a change in how random
+    # systems are drawn must not change which systems a seed gives
+    report = tmp_path / "jacobi.json"
+    argv = ["jacobi", "--tau", tau_file, "--random", "5", "--seed", "5", "--out", str(report)]
+    assert main(argv) == 0
+    assert [rec["system"] for rec in json.loads(report.read_text())] == [
+        ["[1 0 0; 1 0 0]", "[0 1 0; 1 1 0]", "[0 0 1; 1 1 1]", "[1 0 0; 0 0 0]",
+         "[0 1 0; 1 0 0]", "[0 0 1; 1 1 0]", "[0 0 0; 1 1 1]", "[0 0 0; 0 0 0]"],
+        ["[0 1 1; 1 1 0]", "[1 1 1; 0 1 0]", "[1 0 0; 1 0 0]", "[0 0 1; 0 0 0]",
+         "[0 1 0; 0 0 1]", "[0 0 0; 0 1 1]", "[1 0 1; 1 0 1]", "[1 1 0; 1 1 1]"],
+        ["[1 1 1; 0 0 1]", "[0 0 1; 1 0 1]", "[1 0 0; 1 0 0]", "[0 0 1; 1 1 0]",
+         "[0 0 0; 1 1 1]", "[1 1 1; 0 1 1]", "[0 0 0; 0 0 0]", "[1 0 0; 0 1 0]"],
+        ["[1 0 0; 1 1 0]", "[1 0 1; 1 0 0]", "[1 0 0; 1 0 1]", "[1 0 1; 1 0 1]",
+         "[0 1 0; 1 0 0]", "[0 1 0; 0 0 0]", "[1 1 0; 0 0 0]", "[1 1 0; 1 1 0]"],
+        ["[1 0 1; 1 1 0]", "[0 1 1; 1 0 1]", "[1 1 0; 0 1 0]", "[1 0 0; 0 0 0]",
+         "[1 1 1; 0 0 0]", "[0 0 0; 1 1 0]", "[0 0 1; 0 1 0]", "[0 1 0; 1 0 1]"],
+        ["[1 0 1; 1 1 0]", "[0 1 0; 1 1 1]", "[1 1 1; 0 1 0]", "[0 1 1; 1 1 1]",
+         "[0 0 1; 0 1 0]", "[0 0 0; 1 1 0]", "[1 1 0; 0 0 0]", "[1 0 0; 0 0 0]"],
+    ]
+
+
 def test_jacobi_explicit_system_file(tau_file, tmp_path):
     system_file = tmp_path / "system.json"
     system_file.write_text(json.dumps(format_system(reference_fundamental_system())))

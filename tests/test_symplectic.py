@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -14,17 +15,20 @@ from thetachar import (
     act_z,
     all_forms,
     arf,
+    diff_forms,
     evaluate_form,
     find_sigma,
     is_azygetic,
     lift01,
     lift_sp,
+    pairing,
     phi_transform,
     random_fundamental_system,
     random_symplectic_f2,
     random_symplectic_z,
     reference_fundamental_system,
 )
+from thetachar import symplectic
 from thetachar.chars import add_vector, basis_vector
 from thetachar.symplectic import transvection_factors
 
@@ -59,13 +63,19 @@ def _identity_with(row, col, value):
     # c = e_0 e_1^T makes a^T c asymmetric and keeps the other two relations
     (SymplecticMapF2, _identity_with(3, 1, 1), False),
     (SymplecticMapZ, _identity_with(3, 1, 1), False),
+    # entries that are not integers are rejected, not truncated to the identity
+    (SymplecticMapF2, 1.5 * np.eye(6), ValueError),
+    (SymplecticMapZ, 1.7 * np.eye(6), ValueError),
 ])
 def test_symplectic_check_in_both_rings(cls, matrix, accepted):
-    if accepted:
+    # accepted: True, False (not symplectic), or the error of a malformed matrix
+    if accepted is True:
         assert cls(3, matrix) == cls.identity(3)
     else:
-        with pytest.raises(NotSymplecticError):
+        error = NotSymplecticError if accepted is False else accepted
+        with pytest.raises(error) as info:
             cls(3, matrix)
+        assert info.type is error
 
 
 def test_transvections_are_symplectic_and_involutive(rng):
@@ -76,6 +86,53 @@ def test_transvections_are_symplectic_and_involutive(rng):
         v = F2Vector(3, tuple(bits[:3]), tuple(bits[3:]))
         t = SymplecticMapF2.transvection(v)
         assert (t.compose(t).matrix == np.eye(6, dtype=np.uint8)).all()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_transvection_moves_form_by_one_xor(g):
+    # T(v) sends q to q + v when q(v) = 0 and fixes q otherwise
+    for v in all_vectors(g)[1:]:
+        t = SymplecticMapF2.transvection(v)
+        for q in all_forms(g):
+            expected = q if evaluate_form(q, v) else add_vector(q, v)
+            assert act_f2(t, q) == expected
+
+
+def test_random_fundamental_system_is_image_under_random_map():
+    ref = reference_fundamental_system()
+    for seed in range(50):
+        sigma = random_symplectic_f2(3, np.random.default_rng(seed))
+        system = random_fundamental_system(np.random.default_rng(seed))
+        assert system.forms == tuple(act_f2(sigma, q) for q in ref.forms)
+
+
+def test_difference_basis_gram_is_ones_minus_identity(rng):
+    # the fact find_sigma inverts by: U^T J U = 1 - I for the differences
+    # with the last form, and (1 - I)^2 = I mod 2 at every even size
+    ones_minus_identity = 1 - np.eye(6, dtype=int)
+    systems = [reference_fundamental_system()]
+    systems += [random_fundamental_system(rng) for _ in range(30)]
+    for system in systems:
+        diffs = [diff_forms(q, system.forms[-1]) for q in system.forms[:6]]
+        gram = np.array([[pairing(u, v) for v in diffs] for u in diffs])
+        assert (gram == ones_minus_identity).all()
+    for n in (2, 4, 6, 8, 10):
+        m = 1 - np.eye(n, dtype=int)
+        assert ((m @ m) % 2 == np.eye(n, dtype=int)).all()
+
+
+def test_each_returned_map_is_checked_once(monkeypatch, rng):
+    calls = []
+    check = symplectic._is_symplectic
+    monkeypatch.setattr(symplectic, "_is_symplectic",
+                        lambda *args: calls.append(1) or check(*args))
+    sigma = random_symplectic_f2(3, rng)
+    random_symplectic_z(3, rng)
+    target = random_fundamental_system(rng)
+    assert len(calls) == 2
+    find_sigma(reference_fundamental_system(), target)
+    lift_sp(sigma)
+    assert len(calls) == 4
 
 
 def test_action_is_pullback(rng):
@@ -204,6 +261,10 @@ def test_lift_sp_roundtrip(rng):
         sigma = random_symplectic_f2(3, rng)
         lifted = lift_sp(sigma)
         assert lifted.reduce() == sigma
+        # the product of checked integer transvections, factor by factor
+        factors = [SymplecticMapZ.transvection(v) for v in transvection_factors(sigma)]
+        assert lifted == functools.reduce(SymplecticMapZ.compose, factors,
+                                          SymplecticMapZ.identity(3))
 
 
 def test_basis_transvection_01_lift_is_symplectic():

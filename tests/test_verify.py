@@ -22,6 +22,7 @@ from thetachar import (
     jacobi_check,
     jacobian_nullwert,
     lift01,
+    s_value,
     odd_forms,
     random_fundamental_system,
     random_tau,
@@ -30,6 +31,7 @@ from thetachar import (
     shift_system,
     sign_transport,
     sum3,
+    theta_null,
     validate_tau,
     weber_sign,
     weber_systems,
@@ -139,6 +141,26 @@ def test_jacobi_check_random_systems(tau1, tau2, rng):
         r2 = jacobi_check(system, tau2)
         assert r1.residual < 1e-6 and r2.residual < 1e-6
         assert r1.sign == r2.sign
+
+
+def test_table_reads_equal_lookups_by_characteristic(tau1, tau2, rng):
+    # s_value and the weber lhs index the theta table by form; the lookups
+    # through integer lifts are the oracle, bit for bit
+    systems = [reference_fundamental_system()]
+    systems += [random_fundamental_system(rng) for _ in range(10)]
+    evens = even_forms(3)
+    for tau in (tau1, tau2):
+        for system in systems:
+            chars = [lift01(q) for q in system.forms]
+            den = 1.0 + 0j
+            for ch in chars[3:]:
+                den *= theta_null(ch, tau)
+            assert s_value(system, tau) == jacobian_nullwert(chars[:3], tau) / den
+        q_s, q_t = evens[9], evens[27]
+        lhs = (theta_null(lift01(q_s), tau) / theta_null(lift01(q_t), tau)) ** 4
+        assert weber_verify(q_s, q_t, tau).lhs == lhs
+    with pytest.raises(ValueError):
+        s_value(systems[0], RiemannMatrix(1j * np.eye(2)))
 
 
 def test_jacobi_check_tolerance_enforced(tau1):
